@@ -10,7 +10,7 @@ experiment is the *shape* of the degradation:
   queued request waits behind all earlier ones and p99 grows without
   limit until the node dies;
 * with the gate, the queue depth is capped, the excess is refused with
-  ``{"ok": false, "error": "overloaded", "retry_after_ms": n}``, and the
+  an ``OVERLOADED`` reply carrying a retry-after hint, and the
   p99 of *admitted* requests stays flat — overload shows up as shed rate,
   not as death.
 

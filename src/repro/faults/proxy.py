@@ -3,8 +3,8 @@
 :class:`FaultProxy` sits between clients and one real
 :class:`~repro.live.server.LiveCacheServer` and misbehaves on command:
 drop a fraction of frames, delay every frame, garble a fraction of
-frames (flipping header bytes so the peer sees a framing error), or
-partition the upstream entirely for a window.  Because clients connect
+frames (flipping the header's version byte so the peer sees a framing
+error), or partition the upstream entirely for a window.  Because clients connect
 to the *proxy's* address, real servers can be "killed, slowed, and
 partitioned" under test without touching server code — the live
 analogue of the simulator's fault injector.
@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import random
 import socket
-import struct
 import threading
 import time
 
-from repro.live.protocol import ProtocolError, recv_frame, send_frame
-
-_LEN = struct.Struct(">I")
+from repro.live.protocol import FrameReader, ProtocolError, encode, send_frame
 
 
 class FaultProxy:
@@ -184,9 +181,10 @@ class FaultProxy:
 
     def _relay(self, src: socket.socket, dst: socket.socket,
                pair: tuple[socket.socket, socket.socket]) -> None:
+        reader = FrameReader(src)
         try:
             while True:
-                header, body = recv_frame(src)
+                frame = reader.recv_frame()
                 with self._lock:
                     drop = self._rng.random() < self.drop_frac
                     garble = (not drop
@@ -199,9 +197,9 @@ class FaultProxy:
                     continue
                 if garble:
                     self.garbled += 1
-                    dst.sendall(self._garbled_bytes(header, body))
+                    dst.sendall(self._garbled_bytes(frame))
                     continue
-                send_frame(dst, header, body)
+                send_frame(dst, frame)
                 self.forwarded += 1
         except (ProtocolError, OSError):
             pass
@@ -214,14 +212,10 @@ class FaultProxy:
                 except OSError:  # pragma: no cover - best effort
                     pass
 
-    def _garbled_bytes(self, header: dict, body: bytes) -> bytes:
-        """Re-encode the frame with one header byte flipped: the peer's
-        ``recv_frame`` sees invalid JSON and fails the session, exactly
-        like stream corruption on a real link."""
-        import json
-
-        if body:
-            header = {**header, "body": len(body)}
-        raw = bytearray(json.dumps(header, separators=(",", ":")).encode())
-        raw[self._rng.randrange(len(raw))] ^= 0xFF
-        return _LEN.pack(len(raw)) + bytes(raw) + body
+    def _garbled_bytes(self, frame) -> bytes:
+        """Re-encode the frame with its version byte flipped: the peer's
+        reader refuses it and ends the session, exactly like stream
+        corruption on a real link — never a silently different key."""
+        raw = bytearray(encode(frame))
+        raw[0] ^= self._rng.randrange(1, 256)
+        return bytes(raw)

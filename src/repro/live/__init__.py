@@ -7,7 +7,7 @@ same design — threaded TCP cache servers holding B+-tree-indexed slices,
 and a client that routes with the same consistent-hash ring and migrates
 key ranges between live servers exactly like Algorithm 2's sweep.
 
-* :mod:`repro.live.protocol` — length-prefixed JSON+binary framing.
+* :mod:`repro.live.protocol` — wire v2: one fixed binary header per frame.
 * :mod:`repro.live.server` — :class:`LiveCacheServer`, a threaded TCP
   server around a locked B+-tree store.
 * :mod:`repro.live.client` — :class:`LiveCacheClient` (one server) and

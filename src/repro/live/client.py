@@ -14,9 +14,9 @@ work the caller has already abandoned.  The budget also caps the
 client's own retry loop: no retry is scheduled past the deadline.
 
 Batched hot path: :meth:`LiveCacheClient.multi_get` /
-:meth:`~LiveCacheClient.multi_put` amortize the round-trip (one header
-plus ``n`` record frames, chunks pipelined up to ``pipeline_depth``
-deep), and :meth:`LiveClusterClient.get_many` /
+:meth:`~LiveCacheClient.multi_put` amortize the round-trip (one frame
+with a packed body per chunk, chunks pipelined up to
+``pipeline_depth`` deep), and :meth:`LiveClusterClient.get_many` /
 :meth:`~LiveClusterClient.put_many` scatter-gather those batches across
 ring owners in parallel, sharing one deadline budget and degrading per
 shard — an overloaded or dead shard costs misses for its keys, never
@@ -25,6 +25,7 @@ the whole batch.
 
 from __future__ import annotations
 
+import json
 import random
 import socket
 import threading
@@ -36,10 +37,14 @@ from dataclasses import dataclass, field
 from repro.core.ring import ConsistentHashRing
 from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.live.replica import ReplicaManager
-from repro.live.protocol import (MAX_BATCH, DeadlineError, OverloadedError,
-                                 ProtocolError, ServerError, enable_nodelay,
-                                 FrameReader, error_from_reply, send_frame,
-                                 send_frames)
+from repro.live.protocol import (
+    BACKGROUND, DEADLINE, DELETE, EXTRACT_ABORT, EXTRACT_COMMIT,
+    EXTRACT_PREPARE, FOUND, GET, IF_ABSENT, MAX_BATCH, MULTI_GET, MULTI_PUT,
+    NONE32, OK, OVERFLOW, PING, PUT, RANGE, RECORDS, REPLICA, STATS, SWEEP,
+    DeadlineError, Frame, FrameReader, OverloadedError, ProtocolError,
+    ServerError, describe, enable_nodelay, error_from_reply, pack_keys,
+    pack_records, send_frame, send_frames, split_records, unpack_pairs,
+    unpack_records)
 
 
 @dataclass
@@ -101,9 +106,7 @@ class LiveCacheClient:
     extraction family, ``extract_prepare`` is retryable (records are
     retained; a replay issues a fresh token and the stale one
     lease-expires), and ``extract_commit``/``extract_abort`` are
-    idempotent at the server, so their replays are no-ops.  Only the
-    *legacy* destructive ``extract`` op never retries — replaying it
-    would silently drop the records a half-run already removed.
+    idempotent at the server, so their replays are no-ops.
     """
 
     def __init__(self, address: tuple[str, int], timeout: float = 5.0,
@@ -164,20 +167,20 @@ class LiveCacheClient:
         return self._sock
 
     @staticmethod
-    def _stamp_deadline(header: dict, expires_at: float | None) -> dict:
+    def _stamp_deadline(frame: Frame, expires_at: float | None) -> Frame:
         """Attach the *remaining* budget so each retry ships less."""
         if expires_at is None:
-            return header
+            return frame
         remaining_ms = int((expires_at - time.monotonic()) * 1000)
         if remaining_ms <= 0:
             raise DeadlineError("deadline_exceeded")
-        return {**header, "deadline_ms": remaining_ms}
+        return frame._replace(ms=min(remaining_ms, NONE32))
 
-    def _attempt(self, header: dict, body: bytes,
-                 expires_at: float | None = None) -> tuple[dict, bytes]:
+    def _attempt(self, frame: Frame,
+                 expires_at: float | None = None) -> Frame:
         sock = self._ensure_locked()
         try:
-            send_frame(sock, self._stamp_deadline(header, expires_at), body)
+            send_frame(sock, self._stamp_deadline(frame, expires_at))
             return self._reader.recv_frame()
         except (ProtocolError, OSError):
             # The stream is unusable (stale connection, mid-frame loss,
@@ -188,45 +191,44 @@ class LiveCacheClient:
     def _note_retry(self, failures: int, exc: BaseException) -> None:
         self.retries += 1
 
-    def _call(self, header: dict, body: bytes = b"",
-              deadline_ms: float | None = None) -> tuple[dict, bytes]:
+    def _call(self, frame: Frame, deadline_ms: float | None = None,
+              default: str = "request failed") -> Frame:
+        """One retried request → its ``OK`` reply, or the typed error."""
         expires_at = (time.monotonic() + deadline_ms / 1000.0
                       if deadline_ms is not None else None)
         with self._lock:
-            return call_with_retry(
-                lambda: self._attempt(header, body, expires_at),
+            reply = call_with_retry(
+                lambda: self._attempt(frame, expires_at),
                 self.retry,
                 retry_on=(ProtocolError, OSError),
                 give_up_on=(DeadlineError,),
                 rng=self._rng,
                 on_retry=self._note_retry,
             )
-
-    @staticmethod
-    def _ok(reply: dict, default: str) -> dict:
-        """Return the reply or raise its typed error."""
-        if not reply.get("ok"):
+        if reply.code != OK:
             raise error_from_reply(reply, default)
         return reply
 
+    @staticmethod
+    def _flags(priority: str | None = None, if_absent: bool = False,
+               replica: bool = False) -> int:
+        return ((BACKGROUND if priority == "background" else 0)
+                | (IF_ABSENT if if_absent else 0)
+                | (REPLICA if replica else 0))
+
     def ping(self) -> bool:
-        """Liveness check."""
-        reply, _ = self._call({"op": "ping"})
-        return bool(reply.get("pong"))
+        """Liveness check (raises if the server cannot answer)."""
+        self._call(Frame(PING), default="ping failed")
+        return True
 
     def get(self, key: int, deadline_ms: float | None = None,
             priority: str | None = None,
             replica: bool = False) -> bytes | None:
         """Fetch a value, or ``None`` on miss.  ``replica=True`` reads
         the server's replica namespace instead of the primary store."""
-        header = {"op": "get", "key": key}
-        if priority is not None:
-            header["priority"] = priority
-        if replica:
-            header["replica"] = True
-        reply, body = self._call(header, deadline_ms=deadline_ms)
-        self._ok(reply, "get failed")
-        return body if reply.get("found") else None
+        reply = self._call(Frame(GET, self._flags(priority, replica=replica),
+                                 key), deadline_ms, "get failed")
+        return reply.body if reply.flags & FOUND else None
 
     def put(self, key: int, value: bytes, deadline_ms: float | None = None,
             priority: str | None = None, if_absent: bool = False,
@@ -246,26 +248,16 @@ class LiveCacheClient:
             :class:`~repro.live.protocol.DeadlineError` on an expired
             budget.
         """
-        header = {"op": "put", "key": key}
-        if priority is not None:
-            header["priority"] = priority
-        if if_absent:
-            header["if_absent"] = True
-        if replica:
-            header["replica"] = True
-        reply, _ = self._call(header, body=value, deadline_ms=deadline_ms)
-        self._ok(reply, "put failed")
-        return int(reply.get("freed", 0))
+        flags = self._flags(priority, if_absent, replica)
+        return self._call(Frame(PUT, flags, key, body=value), deadline_ms,
+                          "put failed").n
 
     def delete(self, key: int, deadline_ms: float | None = None,
                replica: bool = False) -> tuple[bool, int]:
         """Remove a key; returns ``(existed, bytes_freed)``."""
-        header: dict = {"op": "delete", "key": key}
-        if replica:
-            header["replica"] = True
-        reply, _ = self._call(header, deadline_ms=deadline_ms)
-        self._ok(reply, "delete failed")
-        return bool(reply.get("found")), int(reply.get("freed", 0))
+        reply = self._call(Frame(DELETE, self._flags(replica=replica), key),
+                           deadline_ms, "delete failed")
+        return bool(reply.flags & FOUND), reply.n
 
     # --------------------------------------------------------- batch ops
 
@@ -273,33 +265,26 @@ class LiveCacheClient:
         return [items[i:i + self.max_batch]
                 for i in range(0, len(items), self.max_batch)]
 
-    def _send_batch(self, sock: socket.socket, op: str, chunk: list,
-                    expires_at: float | None,
-                    priority: str | None,
-                    if_absent: bool = False,
-                    replica: bool = False) -> None:
-        header: dict = {"op": op, "n": len(chunk)}
-        if priority is not None:
-            header["priority"] = priority
-        if if_absent:
-            header["if_absent"] = True
-        if replica:
-            header["replica"] = True
-        frames: list[tuple[dict, bytes]] = [
-            (self._stamp_deadline(header, expires_at), b"")]
-        if op == "multi_put":
-            frames.extend(({"key": key}, value) for key, value in chunk)
-        else:
-            frames.extend(({"key": key}, b"") for key in chunk)
-        # One coalesced write: header + n record frames ride a few large
-        # segments instead of n+1 NODELAY-flushed packets.
-        send_frames(sock, frames)
+    def _recv_records(self, count: int,
+                      first: Frame | None = None) -> list:
+        """Read ``RECORDS`` chunks (after ``first``) until ``count``."""
+        records: list = []
+        frame = first
+        while frame is not None or len(records) < count:
+            if frame is None:
+                frame = self._reader.recv_frame()
+            if frame.code != RECORDS:
+                raise ProtocolError(f"expected records, got "
+                                    f"{describe(frame)}")
+            records += unpack_records(frame)
+            frame = None
+        if len(records) != count:
+            raise ProtocolError(f"{len(records)} records for {count} asked")
+        return records
 
-    def _pipelined_attempt(self, op: str, chunks: list[list], state: dict,
-                           expires_at: float | None,
-                           priority: str | None,
-                           if_absent: bool = False,
-                           replica: bool = False) -> None:
+    def _pipelined_attempt(self, op: int, chunks: list[tuple[list, bytes]],
+                           state: dict, expires_at: float | None,
+                           flags: int) -> None:
         """One pipelined pass over the chunks not yet acknowledged.
 
         Up to ``pipeline_depth`` batches ride the wire before the first
@@ -317,44 +302,44 @@ class LiveCacheClient:
             pending: list[int] = []
             i = state["done"]
             while state["done"] < len(chunks) and (pending or error is None):
+                window = []
                 while (i < len(chunks) and error is None
                        and len(pending) < self.pipeline_depth):
-                    self._send_batch(sock, op, chunks[i], expires_at,
-                                     priority, if_absent=if_absent,
-                                     replica=replica)
+                    items, body = chunks[i]
+                    window.append(self._stamp_deadline(
+                        Frame(op, flags, n=len(items), body=body),
+                        expires_at))
                     pending.append(i)
                     i += 1
+                if window:  # one coalesced write for the whole window
+                    send_frames(sock, window)
                 if not pending:
                     break
-                reply, _ = self._reader.recv_frame()
+                reply = self._reader.recv_frame()
                 idx = pending.pop(0)
-                if op == "multi_get" and reply.get("ok"):
-                    for _ in range(int(reply["count"])):
-                        head, body = self._reader.recv_frame()
-                        if head.get("found"):
-                            state["found"][int(head["key"])] = body
-                    if idx == state["done"]:
-                        state["done"] = idx + 1
-                elif op == "multi_put" and reply.get("ok"):
-                    skipped = [int(k) for k in reply.get("skipped", [])]
-                    state["skipped"].extend(skipped)
-                    omit = set(skipped)
-                    state["stored"].extend(
-                        k for k, _ in chunks[idx] if k not in omit)
-                    for key, freed in reply.get("freed", []):
-                        state["freed"][int(key)] = int(freed)
+                ok = reply.code == (RECORDS if op == MULTI_GET else OK)
+                if op == MULTI_GET and ok:
+                    for key, value in self._recv_records(len(chunks[idx][0]),
+                                                         reply):
+                        if value is not None:
+                            state["found"][key] = value
+                elif op == MULTI_PUT and (ok or (
+                        error is None and reply.code in (OVERFLOW,
+                                                         DEADLINE))):
+                    # Every key applied (or skipped) is listed; after a
+                    # refusal that is exactly the acknowledged prefix.
+                    for key, freed in unpack_pairs(reply):
+                        if freed == NONE32:
+                            state["skipped"].append(key)
+                        else:
+                            state["stored"].append(key)
+                            if freed:
+                                state["freed"][key] = freed
+                if ok:
                     if idx == state["done"]:
                         state["done"] = idx + 1
                 elif error is None:
-                    # Partial apply: the reply names what *was* stored.
-                    if op == "multi_put":
-                        state["stored"].extend(
-                            int(k) for k in reply.get("stored", []))
-                        state["skipped"].extend(
-                            int(k) for k in reply.get("skipped", []))
-                        for key, freed in reply.get("freed", []):
-                            state["freed"][int(key)] = int(freed)
-                    error = error_from_reply(reply, f"{op} failed")
+                    error = error_from_reply(reply, "batch failed")
         except (ProtocolError, OSError):
             # Transport death mid-pipeline: the cursor position is
             # unknown — drop the socket; state["done"] marks the suffix
@@ -363,6 +348,21 @@ class LiveCacheClient:
             raise
         if error is not None:
             raise error
+
+    def _pipelined(self, op: int, chunks: list, state: dict,
+                   deadline_ms: float | None, flags: int) -> None:
+        expires_at = (time.monotonic() + deadline_ms / 1000.0
+                      if deadline_ms is not None else None)
+        with self._lock:
+            call_with_retry(
+                lambda: self._pipelined_attempt(op, chunks, state,
+                                                expires_at, flags),
+                self.retry,
+                retry_on=(ProtocolError, OSError),
+                give_up_on=(OverloadedError, DeadlineError, ServerError),
+                rng=self._rng,
+                on_retry=self._note_retry,
+            )
 
     def multi_get(self, keys: list[int], deadline_ms: float | None = None,
                   priority: str | None = None,
@@ -376,21 +376,11 @@ class LiveCacheClient:
         """
         if not keys:
             return {}
-        chunks = self._chunks(list(keys))
+        chunks = [(chunk, pack_keys(chunk))
+                  for chunk in self._chunks(list(keys))]
         state: dict = {"done": 0, "found": {}}
-        expires_at = (time.monotonic() + deadline_ms / 1000.0
-                      if deadline_ms is not None else None)
-        with self._lock:
-            call_with_retry(
-                lambda: self._pipelined_attempt("multi_get", chunks, state,
-                                                expires_at, priority,
-                                                replica=replica),
-                self.retry,
-                retry_on=(ProtocolError, OSError),
-                give_up_on=(OverloadedError, DeadlineError, ServerError),
-                rng=self._rng,
-                on_retry=self._note_retry,
-            )
+        self._pipelined(MULTI_GET, chunks, state, deadline_ms,
+                        self._flags(priority, replica=replica))
         return state["found"]
 
     def multi_put(self, items: list[tuple[int, bytes]],
@@ -410,69 +400,54 @@ class LiveCacheClient:
         """
         if not items:
             return MultiPutResult()
-        chunks = self._chunks(list(items))
+        chunks = [(chunk, pack_records(chunk))
+                  for chunk in split_records(list(items), self.max_batch)]
         state: dict = {"done": 0, "stored": [], "freed": {}, "skipped": []}
-        expires_at = (time.monotonic() + deadline_ms / 1000.0
-                      if deadline_ms is not None else None)
         error: ProtocolError | None = None
-        with self._lock:
-            try:
-                call_with_retry(
-                    lambda: self._pipelined_attempt("multi_put", chunks,
-                                                    state, expires_at,
-                                                    priority,
-                                                    if_absent=if_absent,
-                                                    replica=replica),
-                    self.retry,
-                    retry_on=(ProtocolError, OSError),
-                    give_up_on=(OverloadedError, DeadlineError,
-                                ServerError),
-                    rng=self._rng,
-                    on_retry=self._note_retry,
-                )
-            except ProtocolError as exc:
-                error = exc
-            except OSError as exc:
-                error = ProtocolError(str(exc))
-                error.__cause__ = exc
+        try:
+            self._pipelined(MULTI_PUT, chunks, state, deadline_ms,
+                            self._flags(priority, if_absent, replica))
+        except ProtocolError as exc:
+            error = exc
+        except OSError as exc:
+            error = ProtocolError(str(exc))
+            error.__cause__ = exc
         return MultiPutResult(state["stored"], state["freed"], error,
                               state["skipped"])
 
     # --------------------------------------------------------- range ops
 
-    def _ranged_attempt(self, header: dict) -> tuple[dict,
+    def _ranged_attempt(self, frame: Frame) -> tuple[Frame,
                                                      list[tuple[int, bytes]]]:
         """One shot of a streaming range op on the current connection."""
         sock = self._ensure_locked()
         try:
-            send_frame(sock, header)
-            reply, _ = self._reader.recv_frame()
+            send_frame(sock, frame)
+            reply = self._reader.recv_frame()
             records = []
-            if reply.get("ok"):
-                for _ in range(int(reply["count"])):
-                    head, body = self._reader.recv_frame()
-                    records.append((int(head["key"]), body))
+            if reply.code == OK:
+                records = self._recv_records(reply.n)
         except (ProtocolError, OSError):
             # The stream died mid-frame: the cursor position is unknown,
             # so drop the socket and let the next call reconnect.
             self._drop_locked()
             raise
-        if not reply.get("ok"):
+        if reply.code != OK:
             # A refusal (overloaded, deadline, bad range) is a complete
             # reply — the connection is healthy, keep it.
-            raise error_from_reply(reply, f"{header['op']} failed")
+            raise error_from_reply(reply, "range op failed")
         return reply, records
 
-    def _ranged_retrying(self, header: dict) -> tuple[dict,
+    def _ranged_retrying(self, frame: Frame) -> tuple[Frame,
                                                       list[tuple[int, bytes]]]:
-        """A *retryable* range stream (safe only for non-destructive
-        ops: sweep and extract_prepare — a replay re-reads, the server's
-        records are untouched).  Shed/deadline refusals surface
+        """A *retryable* range stream (safe because sweep and
+        extract_prepare are non-destructive — a replay re-reads, the
+        server's records are untouched).  Shed/deadline refusals surface
         immediately: the server answered, retrying blindly would just
         add load."""
         with self._lock:
             return call_with_retry(
-                lambda: self._ranged_attempt(header),
+                lambda: self._ranged_attempt(frame),
                 self.retry,
                 retry_on=(ProtocolError, OSError),
                 give_up_on=(OverloadedError, DeadlineError),
@@ -483,25 +458,10 @@ class LiveCacheClient:
     def sweep(self, lo: int, hi: int,
               replica: bool = False) -> list[tuple[int, bytes]]:
         """Read all records in ``[lo, hi]`` (non-destructive, retryable)."""
-        header: dict = {"op": "sweep", "lo": lo, "hi": hi}
-        if replica:
-            header["replica"] = True
-        _, records = self._ranged_retrying(header)
+        _, records = self._ranged_retrying(Frame(
+            SWEEP, self._flags(replica=replica), lo,
+            body=RANGE.pack(hi, 0)))
         return records
-
-    def extract_legacy(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
-        """The old single-shot destructive extraction.
-
-        Deliberately NO retry (regardless of ``self.retry``): replaying
-        a half-completed extract would silently drop the records the
-        first attempt already removed from the server.  Kept for wire
-        compatibility and as the regression-test counterpoint; cluster
-        migrations use the two-phase family.
-        """
-        with self._lock:
-            _, records = self._ranged_attempt(
-                {"op": "extract", "lo": lo, "hi": hi})
-            return records
 
     # ------------------------------------------------- two-phase extract
 
@@ -518,13 +478,11 @@ class LiveCacheClient:
         trees *and* its own transfer ledger) — handoff drains and
         anti-entropy sweeps use this.
         """
-        header = {"op": "extract_prepare", "lo": lo, "hi": hi}
-        if lease_s is not None:
-            header["lease_s"] = lease_s
-        if replica:
-            header["replica"] = True
-        reply, records = self._ranged_retrying(header)
-        return str(reply["token"]), records
+        lease_ms = 0 if lease_s is None else max(1, round(lease_s * 1000))
+        reply, records = self._ranged_retrying(Frame(
+            EXTRACT_PREPARE, self._flags(replica=replica), lo,
+            body=RANGE.pack(hi, lease_ms)))
+        return reply.body.decode(), records
 
     def extract_commit(self, token: str, replica: bool = False) -> int:
         """Delete the records snapshotted under ``token``; idempotent.
@@ -535,39 +493,30 @@ class LiveCacheClient:
         ``replica`` must match the prepare: each namespace has its own
         transfer ledger.
         """
-        header: dict = {"op": "extract_commit", "token": token}
-        if replica:
-            header["replica"] = True
-        reply, _ = self._call(header)
-        self._ok(reply, "extract_commit failed")
-        return int(reply.get("removed", 0))
+        return self._call(Frame(EXTRACT_COMMIT, self._flags(replica=replica),
+                                body=token.encode()),
+                          default="extract_commit failed").n
 
     def extract_abort(self, token: str, replica: bool = False) -> bool:
         """Release a prepared snapshot without deleting; idempotent."""
-        header: dict = {"op": "extract_abort", "token": token}
-        if replica:
-            header["replica"] = True
-        reply, _ = self._call(header)
-        self._ok(reply, "extract_abort failed")
-        return bool(reply.get("released"))
+        reply = self._call(Frame(EXTRACT_ABORT, self._flags(replica=replica),
+                                 body=token.encode()),
+                           default="extract_abort failed")
+        return bool(reply.flags & FOUND)
 
     def extract(self, lo: int, hi: int,
                 replica: bool = False) -> list[tuple[int, bytes]]:
-        """Read *and remove* all records in ``[lo, hi]`` — two-phase.
-
-        Equivalent to the old destructive extract from the caller's
-        perspective, but a crash between phases leaves the records on
-        the server (the prepare lease expires) instead of losing them.
-        """
+        """Read *and remove* all records in ``[lo, hi]`` — two-phase: a
+        crash between the phases leaves the records on the server (the
+        prepare lease expires) instead of losing them."""
         token, records = self.extract_prepare(lo, hi, replica=replica)
         self.extract_commit(token, replica=replica)
         return records
 
     def stats(self) -> dict:
         """Server-side counters (store + admission gate + transfers)."""
-        reply, _ = self._call({"op": "stats"})
-        self._ok(reply, "stats failed")
-        return reply
+        return json.loads(self._call(Frame(STATS), default="stats failed")
+                          .body)
 
 
 class _TopologyLock:

@@ -57,8 +57,9 @@ from repro.core.sliding_window import SlidingWindowEvictor
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.detector import FailureDetector
 from repro.live.client import LiveClusterClient
-from repro.live.protocol import (DeadlineError, OverloadedError,
-                                 ProtocolError, recv_frame, send_frame)
+from repro.live.protocol import (OK, PING, DeadlineError, Frame,
+                                 OverloadedError, ProtocolError, recv_frame,
+                                 send_frame)
 from repro.live.server import LiveCacheServer
 
 
@@ -484,9 +485,8 @@ class LiveCoordinator:
         """One raw connect+ping, no retry — is anything listening?"""
         try:
             with socket.create_connection(tuple(addr), timeout=timeout) as s:
-                send_frame(s, {"op": "ping"})
-                reply, _ = recv_frame(s)
-                return bool(reply.get("pong"))
+                send_frame(s, Frame(PING))
+                return recv_frame(s).code == OK
         except (ProtocolError, OSError):
             return False
 

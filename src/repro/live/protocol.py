@@ -1,135 +1,120 @@
-"""Wire protocol for the live cache cluster.
+"""Wire protocol for the live cache cluster (wire v2).
 
-Frames are ``[4-byte big-endian header length][JSON header][binary body]``
-where the header's ``"body"`` field declares the body length (0 for
-body-less messages).  JSON keeps the protocol debuggable with ``nc``;
-values travel as opaque bytes in the body, so cached payloads are never
-round-tripped through text encodings.
+Every frame is one fixed 23-byte big-endian header, then ``size`` body
+bytes::
 
-Requests
---------
-``{"op": "get",    "key": int}``
-``{"op": "put",    "key": int, "body": len}``          + value bytes
-``{"op": "delete", "key": int}``
-``{"op": "multi_get", "n": int}``                      + n key frames
-``{"op": "multi_put", "n": int}``                      + n record frames
-``{"op": "sweep",  "lo": int, "hi": int}``             → streamed records
-``{"op": "extract","lo": int, "hi": int}``             → records, removed
-``{"op": "extract_prepare", "lo": int, "hi": int}``    → token + records
-``{"op": "extract_commit",  "token": str}``            → records deleted
-``{"op": "extract_abort",   "token": str}``            → lease released
-``{"op": "stats"}``
-``{"op": "ping"}``
+    version u8 | code u8 | flags u8 | key u64 | size u32 | n u32 | ms u32
 
-Multi-key ops (the batched hot path)
-------------------------------------
-``multi_get`` and ``multi_put`` amortize the per-op round-trip: one
-header frame declares ``n`` (capped at :data:`MAX_BATCH`), followed by
-``n`` record frames in the same streaming shape ``sweep`` uses —
-``{"key": k}`` for ``multi_get``, ``{"key": k, "body": len}`` + value
-bytes for ``multi_put``.  The whole batch passes server admission
-*once* and acquires each lock stripe once per batch instead of once per
-key.  Replies:
+A v1 (JSON-header) frame starts with ``0x00`` and is refused at the
+``version`` byte.  ``code`` is an op on requests (``0x10`` and up) and a
+status on replies, so :func:`describe` reads a frame without knowing its
+direction.  No data op touches a text codec; JSON is only the ``stats``
+reply's body, and error text and transfer tokens ride as UTF-8 bodies.
 
-``multi_get``
-    ``{"ok": true, "count": n}`` then ``n`` record frames
-    ``{"key": k, "found": true, "body": len}`` + value (or
-    ``{"key": k, "found": false}``), in request order.
-``multi_put``
-    ``{"ok": true, "acked": n, "freed": [[key, bytes], ...]}``
-    (``freed`` lists only overwrites).  A batch refused or aborted
-    part-way (overloaded, deadline, overflow) answers
-    ``{"ok": false, "error": ..., "acked": m, "stored": [keys...]}``:
-    every key in ``stored`` was durably applied **before** the reply
-    was sent, so a client retries only the unacknowledged suffix — and
-    because puts are idempotent (derived bytes), re-sending an applied
-    record is harmless, never lossy.
+Requests: ``GET``/``DELETE`` key · ``PUT`` key + value · ``MULTI_GET`` n
++ keys ``u64[n]`` · ``MULTI_PUT`` n + records · ``SWEEP`` and
+``EXTRACT_PREPARE`` key=lo + :data:`RANGE` (hi, lease_ms; 0 = default
+lease) · ``EXTRACT_COMMIT``/``EXTRACT_ABORT`` + token · ``PING`` ·
+``STATS``.  Flags: :data:`REPLICA` targets the replica namespace (see
+:mod:`repro.live.replica`), :data:`IF_ABSENT` leaves a present key
+untouched (migration copies never clobber newer writes),
+:data:`BACKGROUND` is shed first.  ``ms`` is the remaining budget from
+arrival (0 = none); work that outlives it is answered ``DEADLINE``.
 
-A declared ``n`` over :data:`MAX_BATCH` (or a batch whose record bodies
-exceed :data:`MAX_BATCH_BYTES` in total) is a framing violation: the
-server answers ``{"ok": false}`` and closes the session, exactly as it
-does for an oversized single frame.
+Replies: ``OK`` carries integers in the fixed fields — ``get`` sets
+:data:`FOUND` with the value as body, ``put`` the freed bytes in ``n``
+(or :data:`SKIPPED`), ``delete`` ``FOUND`` and ``n`` = freed,
+``extract_commit`` ``FOUND`` (token known) and ``n`` = removed,
+``extract_abort`` ``FOUND`` (released).  Refusals: ``ERROR`` (text),
+``OVERLOADED`` (``ms`` = retry-after), ``DEADLINE``, ``OVERFLOW``
+(``key`` = free bytes).
 
-Conditional writes (migration copies)
--------------------------------------
-``put`` and ``multi_put`` accept ``"if_absent": true``: a key the
-server already holds is left untouched.  Migration copies use this so a
-snapshot taken before a topology change can never clobber a write that
-raced ahead to the new owner — whatever is resident at the destination
-is by construction newer than the snapshot.  A skipped single ``put``
-answers ``{"ok": true, "freed": 0, "skipped": true}``; a ``multi_put``
-reply lists the untouched keys under ``"skipped": [keys...]`` (omitted
-when empty; also present on partial-error replies alongside
-``"stored"``).
+A batch is one frame packing ``n`` records: keys ``u64[n]``, lengths
+``u32[n]`` (:data:`NONE32` = not found, so ``b""`` stays distinct), then
+the values.  ``MULTI_GET`` is answered by ``RECORDS`` frames in request
+order; ``MULTI_PUT`` by ``(key, freed)`` pairs for every key applied or
+skipped (freed = ``NONE32``), on ``OK`` or — stopped part-way — on
+``OVERFLOW``/``DEADLINE``: the listed keys were applied before the
+reply, so a client resends only the rest.  Range ops answer ``OK
+n=count`` (prepare's body is its token), then ``RECORDS`` chunks.
+Senders cut batches at :data:`MAX_BATCH` records or :data:`CHUNK_BYTES`
+of values (:func:`split_records`).
 
-Any request may additionally carry:
+Limits are checked from the header before the body is read: ``n`` over
+``MAX_BATCH``, batch values over :data:`MAX_BATCH_BYTES`, other bodies
+over :data:`MAX_BODY_BYTES`.  The server answers those, and a packed
+body that disagrees with its index, ``ERROR`` and closes the session;
+bytes that are not a v2 frame are closed without a reply.
 
-``"deadline_ms"``
-    Remaining per-op time budget in milliseconds, measured from the
-    moment the frame is received.  A request whose budget expires while
-    queued for admission (or before the store lock is taken) is answered
-    ``{"ok": false, "error": "deadline_exceeded"}`` instead of doing
-    stale work the caller has already given up on.
-``"priority"``
-    ``"user"`` (default) or ``"background"``.  Under load pressure the
-    server sheds background traffic first (prefetch/warm fills are
-    cheaper to drop than user-facing queries are to delay).
-``"replica"``
-    When truthy, the op targets the server's **replica namespace** — a
-    second store (sized by the server's ``replica_headroom``) holding
-    buddy copies of other nodes' ranges, accounted separately from
-    primary capacity.  Every data op (point, multi, sweep, and the
-    two-phase extract family) honors the flag, so replication, hinted
-    handoff, and anti-entropy rebuild reuse the batched wire path
-    unchanged; see :mod:`repro.live.replica`.
-
-Responses carry ``{"ok": true, ...}`` or ``{"ok": false, "error": str}``.
-An admission-queue overflow answers
-``{"ok": false, "error": "overloaded", "retry_after_ms": n}`` — a fast
-rejection, never unbounded queueing.  Sweep and the extract family
-respond with ``{"ok": true, "count": n}`` (prepare adds ``"token"``)
-followed by ``n`` record frames ``{"key": k, "body": len}`` + value
-bytes.
-
-Two-phase extraction
---------------------
-The legacy ``extract`` deletes records *before* the caller has stored
-them anywhere — a crash mid-stream loses data.  The two-phase family
-replaces it for migrations: ``extract_prepare`` snapshots the range
-under a leased transfer token while **retaining** every record, the
-caller copies the records to their destination, and only then does
-``extract_commit`` delete them (``extract_abort``, or lease expiry,
-releases the snapshot without deleting).  A crash at any point leaves at
-most duplicates — resolved idempotently when the record is re-inserted —
-never loss.
+Two-phase extraction: ``extract_prepare`` snapshots a range under a
+leased token and *retains* it; only ``extract_commit`` deletes
+(``extract_abort`` or lease expiry releases it), so a crash mid-way
+leaves duplicates, never loss.
 """
 
 from __future__ import annotations
 
-import json
-import re
+import functools
 import socket
 import struct
+from typing import NamedTuple
 
-_HEADER = struct.Struct(">I")
-MAX_HEADER_BYTES = 1 << 20
+VERSION = 0xC2
+_HEADER = struct.Struct(">BBBQIII")
+HEADER_BYTES = _HEADER.size
 MAX_BODY_BYTES = 1 << 26
 #: most records one multi_get/multi_put batch may carry.
 MAX_BATCH = 1024
-#: total body bytes one batch may carry (caps server-side buffering).
+#: total value bytes one batch may carry (caps server-side buffering).
 MAX_BATCH_BYTES = 1 << 27
-#: bodies at or below this ride in the same ``sendall`` as the header
-#: (one segment for small frames); larger bodies are sent zero-copy.
-_INLINE_BODY_BYTES = 1 << 14
+#: the u32 that stands for "no value": a record not found, a put skipped.
+NONE32 = 0xFFFFFFFF
+
+# reply statuses
+OK, RECORDS, ERROR, OVERLOADED, DEADLINE, OVERFLOW = range(6)
+# request ops
+(PING, STATS, GET, PUT, DELETE, MULTI_GET, MULTI_PUT, SWEEP,
+ EXTRACT_PREPARE, EXTRACT_COMMIT, EXTRACT_ABORT) = range(0x10, 0x1B)
+CODE_NAMES = dict(enumerate(("ok records error overloaded deadline_exceeded "
+                              "overflow").split()))
+CODE_NAMES.update(enumerate(("ping stats get put delete multi_get multi_put "
+                             "sweep extract_prepare extract_commit "
+                             "extract_abort").split(), start=PING))
+
+REPLICA, IF_ABSENT, BACKGROUND, FOUND, SKIPPED = 0x01, 0x02, 0x04, 0x08, 0x10
+FLAG_NAMES = {REPLICA: "replica", IF_ABSENT: "if_absent",
+              BACKGROUND: "background", FOUND: "found", SKIPPED: "skipped"}
+REQUEST_FLAGS = REPLICA | IF_ABSENT | BACKGROUND
+#: range request body: ``hi``, then ``lease_ms``.
+RANGE = struct.Struct(">QI")
+
+#: batch codes → (index bytes per record, value bytes allowed).
+_BATCH_LIMITS = {MULTI_GET: (8, 0), MULTI_PUT: (12, MAX_BATCH_BYTES),
+                 RECORDS: (12, MAX_BATCH_BYTES)}
+#: value bytes after which a sender starts the next batch frame: small
+#: frames keep both ends' receive buffers (and peak memory) bounded,
+#: while pipelining keeps the link busy.
+CHUNK_BYTES = 1 << 16
+#: bodies at or below this ride in the same ``sendall`` as their header;
+#: larger ones are sent on their own instead of being copied.
+_INLINE_BODY_BYTES = 1 << 17
+#: flush threshold for coalesced multi-frame sends.
+_COALESCE_BYTES = 1 << 18
+
+
+class Frame(NamedTuple):
+    """One decoded frame: the fixed header's fields plus the body."""
+
+    code: int
+    flags: int = 0
+    key: int = 0
+    n: int = 0
+    ms: int = 0
+    body: bytes = b""
 
 
 def enable_nodelay(sock: socket.socket) -> None:
-    """Disable Nagle on ``sock`` (best effort).
-
-    The protocol is strictly request/reply per frame, so coalescing
-    delays (40 ms ACK stalls on small frames) buy nothing — both ends
-    of the hot path want the segment on the wire immediately.
-    """
+    """Disable Nagle (best effort): replies must not wait on ACKs."""
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except (OSError, AttributeError):  # pragma: no cover - exotic stacks
@@ -140,12 +125,14 @@ class ProtocolError(RuntimeError):
     """Raised on malformed frames or transport failures."""
 
 
-class OverloadedError(ProtocolError):
-    """The server shed this request (admission queue full).
+class FrameError(ProtocolError):
+    """A v2 frame the receiver refuses (a limit, a malformed batch): the
+    server answers ``ERROR``, then ends the untrustworthy session."""
 
-    ``retry_after_ms`` is the server's backoff hint; callers that can
-    wait should retry after it, callers that cannot should degrade.
-    """
+
+class OverloadedError(ProtocolError):
+    """The server shed this request (admission queue full);
+    ``retry_after_ms`` is its backoff hint."""
 
     def __init__(self, message: str = "overloaded",
                  retry_after_ms: int = 0) -> None:
@@ -154,134 +141,198 @@ class OverloadedError(ProtocolError):
 
 
 class DeadlineError(ProtocolError):
-    """The request's ``deadline_ms`` budget expired before execution."""
+    """The request's deadline expired before execution."""
 
 
 class ServerError(ProtocolError):
-    """A well-formed refusal reply (e.g. ``overflow``, unknown op).
-
-    Unlike a bare :class:`ProtocolError` — which signals a broken frame
-    or dead transport — the connection is healthy and the refusal is
-    deterministic, so resending the same request cannot succeed.
-    """
+    """A deterministic refusal (e.g. ``overflow``, unknown op) on a
+    healthy connection: unlike a bare :class:`ProtocolError` (broken
+    frame, dead transport), resending cannot succeed."""
 
 
-def error_from_reply(reply: dict, default: str) -> ProtocolError:
-    """Map an ``{"ok": false}`` reply onto the matching typed error."""
-    message = str(reply.get("error", default))
-    if message == "overloaded":
-        return OverloadedError(message,
-                               int(reply.get("retry_after_ms", 0) or 0))
-    if message == "deadline_exceeded":
-        return DeadlineError(message)
-    return ServerError(message)
+def error_from_reply(reply: Frame, default: str) -> ProtocolError:
+    """Map a refusal reply onto the matching typed error."""
+    if reply.code == OVERLOADED:
+        return OverloadedError("overloaded", reply.ms)
+    if reply.code == DEADLINE:
+        return DeadlineError("deadline_exceeded")
+    if reply.code == OVERFLOW:
+        return ServerError("overflow")
+    if reply.code == ERROR:
+        return ServerError(reply.body.decode("utf-8", "replace") or default)
+    return ProtocolError(f"{default}: unexpected reply {describe(reply)}")
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`ProtocolError`.
-
-    A socket timeout (half-open peer, stalled sender) surfaces as
-    :class:`ProtocolError` too: to the framing layer a peer that stops
-    mid-frame is indistinguishable from one that disconnected, and
-    callers must not be pinned forever on either.
-    """
-    chunks = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(min(remaining, 65536))
-        except (socket.timeout, TimeoutError) as exc:
-            raise ProtocolError(f"timed out mid-frame ({remaining} B "
-                                f"of {n} B outstanding)") from exc
-        if not chunk:
-            raise ProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def error_frame(message: str) -> Frame:
+    return Frame(ERROR, body=message.encode("utf-8", "replace"))
 
 
-def send_frame(sock: socket.socket, header: dict, body: bytes = b"") -> None:
-    """Serialize and send one frame.
+def _head(frame: Frame) -> bytes:
+    try:
+        return _HEADER.pack(VERSION, frame.code, frame.flags, frame.key,
+                            len(frame.body), frame.n, frame.ms)
+    except struct.error as exc:
+        raise ValueError(f"unencodable frame {frame[:5]}: {exc}") from None
 
-    Small bodies are concatenated with the header into a single
-    ``sendall`` (one segment on the wire); large bodies — migration
-    streams, multi-MiB puts — are sent as a second ``sendall`` over a
-    ``memoryview``, so the frame is never double-buffered (the old
-    ``prefix + body`` concat copied up to ``MAX_BODY_BYTES`` per frame).
-    """
-    if body:
-        header = {**header, "body": len(body)}
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    if len(raw) > MAX_HEADER_BYTES:
-        raise ProtocolError(f"header too large ({len(raw)} B)")
-    prefix = _HEADER.pack(len(raw)) + raw
-    if len(body) <= _INLINE_BODY_BYTES:
-        sock.sendall(prefix + body)
+
+def encode(frame: Frame) -> bytes:
+    """The frame's wire bytes (header then body)."""
+    return _head(frame) + frame.body
+
+
+def _parse_head(buf) -> tuple[int, int, int, int, int, int]:
+    """Unpack and check a header → ``(code, flags, key, size, n, ms)``."""
+    version, code, flags, key, size, n, ms = _HEADER.unpack_from(buf)
+    if version != VERSION:
+        raise ProtocolError(f"not a v2 frame (first byte {version:#04x})")
+    limits = _BATCH_LIMITS.get(code)
+    if limits is None:
+        limit = MAX_BODY_BYTES
+    elif n > MAX_BATCH:
+        raise FrameError(f"bad batch size {n} (max {MAX_BATCH})")
     else:
-        sock.sendall(prefix)
-        sock.sendall(memoryview(body))
+        limit = n * limits[0] + limits[1]
+    if size > limit:
+        raise FrameError(f"declared body of {size} B exceeds {limit} B")
+    return code, flags, key, size, n, ms
 
 
-#: flush threshold for coalesced multi-frame sends — large enough to
-#: fill wire segments, small enough to bound the staging buffer.
-_COALESCE_BYTES = 1 << 18
+def decode(raw: bytes) -> Frame:
+    """Parse exactly one frame from ``raw`` (tests, :func:`describe`)."""
+    code, flags, key, size, n, ms = _parse_head(raw.ljust(HEADER_BYTES))
+    if len(raw) != HEADER_BYTES + size:
+        raise ProtocolError(f"{len(raw)} B is not one frame of {size} B body")
+    return Frame(code, flags, key, n, ms, bytes(raw[HEADER_BYTES:]))
 
 
-def _encode_header(header: dict, body_len: int) -> bytes:
-    """Serialize a frame header, fast-pathing the record-frame shapes.
+@functools.lru_cache(maxsize=256)
+def _index(n: int, ints: bool = True) -> struct.Struct:
+    return struct.Struct(f">{n}Q{n}I" if ints else f">{n}Q")
 
-    Batches carry thousands of tiny ``{"key": k}`` / ``{"key": k,
-    "found": ...}`` headers; ``json.dumps`` costs ~2.7 us each, an
-    order of magnitude more than the store op itself.  %-formatting the
-    known shapes emits byte-identical JSON at a fraction of the cost;
-    anything else falls through to the real encoder.
+
+def pack_keys(keys) -> bytes:
+    """A ``MULTI_GET`` body: the keys as ``u64[n]``."""
+    return _index(len(keys), False).pack(*keys)
+
+
+def pack_pairs(keys, ints) -> bytes:
+    """``u64[n]`` keys then ``u32[n]`` integers (a multi_put reply)."""
+    return _index(len(keys)).pack(*keys, *ints)
+
+
+def pack_records(records) -> bytes:
+    """A batch body from ``(key, value-or-None)`` records."""
+    keys = [key for key, _ in records]
+    lengths = [NONE32 if value is None else len(value)
+               for _, value in records]
+    return b"".join([pack_pairs(keys, lengths),
+                     *[value for _, value in records if value]])
+
+
+def split_records(records: list, max_records: int = MAX_BATCH) -> list:
+    """Cut records into batch-frame chunks of at most ``max_records``,
+    starting a new one once values reach :data:`CHUNK_BYTES`."""
+    chunks, start, size = [], 0, 0
+    for i, (_, value) in enumerate(records):
+        if i > start and (i - start == max_records or size >= CHUNK_BYTES):
+            chunks.append(records[start:i])
+            start, size = i, 0
+        size += len(value) if value else 0
+    if start < len(records):
+        chunks.append(records[start:])
+    return chunks
+
+
+def unpack_keys(frame: Frame) -> tuple:
+    index = _index(frame.n, False)
+    if len(frame.body) != index.size:
+        raise FrameError(f"{frame.n} keys need {index.size} B, "
+                         f"body has {len(frame.body)} B")
+    return index.unpack(frame.body)
+
+
+def _unpack_index(frame: Frame, exact: bool = False) -> tuple[tuple, tuple]:
+    n, index = frame.n, _index(frame.n)
+    if len(frame.body) < index.size or exact and len(frame.body) > index.size:
+        raise FrameError(f"{n} records need a {index.size} B index, "
+                         f"body has {len(frame.body)} B")
+    flat = index.unpack_from(frame.body)
+    return flat[:n], flat[n:]
+
+
+def unpack_pairs(frame: Frame) -> list[tuple[int, int]]:
+    """``(key, u32)`` pairs of a multi_put reply."""
+    return list(zip(*_unpack_index(frame, exact=True)))
+
+
+def unpack_records(frame: Frame) -> list[tuple[int, bytes | None]]:
+    """``(key, value-or-None)`` records of a packed batch body."""
+    keys, lengths = _unpack_index(frame)
+    body, off = frame.body, 12 * frame.n
+    if off + sum(x for x in lengths if x != NONE32) != len(body):
+        raise FrameError(f"packed lengths disagree with a body of "
+                         f"{len(body)} B")
+    records: list[tuple[int, bytes | None]] = []
+    for key, length in zip(keys, lengths):
+        if length == NONE32:
+            records.append((key, None))
+        else:
+            records.append((key, body[off:off + length]))
+            off += length
+    return records
+
+
+def describe(frame: "Frame | bytes") -> str:
+    """One line saying what a frame (or its wire bytes) means.
+
+    >>> describe(Frame(GET, REPLICA | BACKGROUND, key=7, ms=250))
+    'get replica background key=7 ms=250'
+    >>> describe(encode(Frame(RECORDS, n=2,
+    ...                       body=pack_records([(7, b"abc"), (9, None)]))))
+    'records n=2 [7: 3 B, 9: not found]'
+    >>> describe(Frame(ERROR, body=b"unknown op 0x7f"))
+    "error 'unknown op 0x7f'"
     """
-    n = len(header)
-    key = header.get("key")
-    if type(key) is int and key >= 0:
-        if n == 1:
-            if body_len:
-                return b'{"key":%d,"body":%d}' % (key, body_len)
-            return b'{"key":%d}' % key
-        if n == 2 and type(header.get("found")) is bool:
-            if header["found"]:
-                if body_len:
-                    return (b'{"key":%d,"found":true,"body":%d}'
-                            % (key, body_len))
-                return b'{"key":%d,"found":true}' % key
-            if not body_len:
-                return b'{"key":%d,"found":false}' % key
-    if body_len:
-        header = {**header, "body": body_len}
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    if len(raw) > MAX_HEADER_BYTES:
-        raise ProtocolError(f"header too large ({len(raw)} B)")
-    return raw
+    if not isinstance(frame, Frame):
+        frame = decode(bytes(frame))
+    parts = [CODE_NAMES.get(frame.code, f"code={frame.code:#04x}")]
+    parts += [name for bit, name in FLAG_NAMES.items() if frame.flags & bit]
+    unknown = frame.flags & ~sum(FLAG_NAMES)
+    if unknown:
+        parts.append(f"flags={unknown:#04x}")
+    parts += [f"{name}={value}" for name, value in
+              (("key", frame.key), ("n", frame.n), ("ms", frame.ms)) if value]
+    if frame.code == RECORDS:
+        shown = [f"{k}: " + ("not found" if v is None else f"{len(v)} B")
+                 for k, v in unpack_records(frame)[:8]]
+        parts.append("[" + ", ".join(shown)
+                     + (", ...]" if frame.n > 8 else "]"))
+    elif frame.code == ERROR:
+        parts.append(repr(frame.body.decode("utf-8", "replace")))
+    elif frame.body:
+        parts.append(f"body={len(frame.body)} B")
+    return " ".join(parts)
 
 
-def send_frames(sock: socket.socket,
-                frames: "list[tuple[dict, bytes]]") -> None:
-    """Send many frames in as few ``sendall`` calls as possible.
+def send_frame(sock: socket.socket, frame: Frame) -> None:
+    """Send one frame (see :func:`send_frames`)."""
+    if len(frame.body) > _INLINE_BODY_BYTES:
+        return send_frames(sock, [frame])
+    sock.sendall(_head(frame) + frame.body)
 
-    With ``TCP_NODELAY`` set, every small ``sendall`` flushes its own
-    segment — a 64-record batch sent frame-by-frame costs 64 packets of
-    latency.  Coalescing the record frames into one staging buffer (cut
-    at ``_COALESCE_BYTES``) keeps the batch to a handful of large
-    segments.  Oversized bodies bypass the buffer (no double-copy),
-    exactly like :func:`send_frame`.
-    """
+
+def send_frames(sock: socket.socket, frames: list) -> None:
+    """Send frames in as few ``sendall`` calls (segments, under
+    ``TCP_NODELAY``) as possible; a large body goes out alone, uncopied."""
     buf = bytearray()
-    for header, body in frames:
-        if len(body) > _INLINE_BODY_BYTES:
-            if buf:
-                sock.sendall(buf)
-                buf = bytearray()
-            send_frame(sock, header, body)
+    for frame in frames:
+        buf += _head(frame)
+        if len(frame.body) > _INLINE_BODY_BYTES:
+            sock.sendall(buf)
+            sock.sendall(frame.body)
+            buf = bytearray()
             continue
-        raw = _encode_header(header, len(body))
-        buf += _HEADER.pack(len(raw))
-        buf += raw
-        buf += body
+        buf += frame.body
         if len(buf) >= _COALESCE_BYTES:
             sock.sendall(buf)
             buf = bytearray()
@@ -289,103 +340,51 @@ def send_frames(sock: socket.socket,
         sock.sendall(buf)
 
 
-#: decode fast path for record-frame headers, the exact shapes
-#: :func:`_encode_header` emits.  Anything else (including the same
-#: fields in another order) falls back to ``json.loads``.
-_RECORD_HEADER = re.compile(
-    rb'\{"key":(\d+)(?:,"found":(true|false))?(?:,"body":(\d+))?\}\Z')
-
-
-def _parse_frame(read_exact) -> tuple[dict, bytes]:
-    """Assemble one frame from a ``read_exact(n) -> bytes`` source."""
-    (header_len,) = _HEADER.unpack(read_exact(_HEADER.size))
-    if header_len > MAX_HEADER_BYTES:
-        raise ProtocolError(f"declared header of {header_len} B exceeds limit")
-    raw = read_exact(header_len)
-    match = _RECORD_HEADER.match(raw)
-    if match is not None:
-        key_b, found_b, body_b = match.groups()
-        header = {"key": int(key_b)}
-        if found_b is not None:
-            header["found"] = found_b == b"true"
-        if body_b is None:
-            return header, b""
-        body_len = int(body_b)
-        header["body"] = body_len
-        if body_len > MAX_BODY_BYTES:
-            raise ProtocolError(
-                f"declared body of {body_len} B out of range")
-        return header, read_exact(body_len)
-    try:
-        header = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # UnicodeDecodeError: bytes that BOM-sniff as UTF-16/32 but do
-        # not decode — equally a framing violation, not a server fault.
-        raise ProtocolError(f"invalid header JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ProtocolError("header must be a JSON object")
-    try:
-        body_len = int(header.get("body", 0))
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"non-numeric body declaration {header.get('body')!r}") from exc
-    if body_len < 0 or body_len > MAX_BODY_BYTES:
-        raise ProtocolError(f"declared body of {body_len} B out of range")
-    body = read_exact(body_len) if body_len else b""
-    return header, body
-
-
-def recv_frame(sock: socket.socket) -> tuple[dict, bytes]:
-    """Receive one frame → ``(header, body)``.
-
-    Raises
-    ------
-    ProtocolError
-        On truncated frames, oversized or malformed declarations,
-        invalid JSON, or a receive timeout.
-    """
-    return _parse_frame(lambda n: _recv_exact(sock, n))
+def recv_frame(sock: socket.socket) -> Frame:
+    """Receive one frame without reading past it; raises
+    :class:`ProtocolError` on a truncated, non-v2 or over-limit frame,
+    or a receive timeout."""
+    return FrameReader(sock, over_read=0).recv_frame()
 
 
 class FrameReader:
-    """Buffered frame reader bound to one socket.
+    """Buffered frame reader bound to one socket (its only reader).
 
-    Unbuffered :func:`recv_frame` costs about three ``recv`` syscalls
-    per frame (length prefix, header, body) — on the batched hot path
-    that is the dominant per-record cost once writes are coalesced.
-    The reader over-reads into a private buffer, so a 64-record batch
-    arrives in a handful of ``recv`` calls.
-
-    One reader per connection, and all reads on that connection must go
-    through it — mixing with raw :func:`recv_frame` would strand
-    buffered bytes.  Timeout/EOF semantics match :func:`_recv_exact`.
+    It over-reads, so back-to-back frames share a ``recv``, copies each
+    body out once, and uses nothing of the socket but ``recv``.
     """
 
-    __slots__ = ("_sock", "_buf")
+    __slots__ = ("_sock", "_buf", "_over_read")
 
-    #: over-read granularity: one large recv amortizes many small frames
-    _RECV_BYTES = 1 << 16
+    def __init__(self, sock: socket.socket, over_read: int = 1 << 16) -> None:
+        #: ``over_read``: bytes asked of each ``recv`` (0 = exactly a frame)
+        self._sock, self._buf, self._over_read = sock, bytearray(), over_read
 
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._buf = bytearray()
-
-    def _read_exact(self, n: int) -> bytes:
+    def _fill(self, n: int) -> None:
         buf = self._buf
         while len(buf) < n:
             try:
-                chunk = self._sock.recv(max(self._RECV_BYTES, n - len(buf)))
+                chunk = self._sock.recv(max(self._over_read, n - len(buf)))
             except (socket.timeout, TimeoutError) as exc:
-                raise ProtocolError(
-                    f"timed out mid-frame ({n - len(buf)} B of {n} B "
-                    f"outstanding)") from exc
+                raise ProtocolError(f"timed out mid-frame ({n - len(buf)} B "
+                                    f"of {n} B outstanding)") from exc
             if not chunk:
                 raise ProtocolError("connection closed mid-frame")
             buf += chunk
-        out = bytes(buf[:n])
-        del buf[:n]
-        return out
 
-    def recv_frame(self) -> tuple[dict, bytes]:
-        """Receive one frame → ``(header, body)``; see :func:`recv_frame`."""
-        return _parse_frame(self._read_exact)
+    def recv_frame(self) -> Frame:
+        """Receive one frame; see :func:`recv_frame`."""
+        buf = self._buf
+        if len(buf) < HEADER_BYTES:
+            self._fill(HEADER_BYTES)
+        code, flags, key, size, n, ms = _parse_head(buf)
+        end = HEADER_BYTES + size
+        if len(buf) < end:
+            self._fill(end)
+        body = b""
+        if size:
+            with memoryview(buf) as view:
+                body = bytes(view[HEADER_BYTES:end])
+        del buf[:end]
+        # tuple.__new__ skips NamedTuple's Python-level constructor
+        return tuple.__new__(Frame, (code, flags, key, n, ms, body))

@@ -19,12 +19,12 @@ cheap (they block on ``recv``), but *work* is not: every op (a batch
 counts once) passes an :class:`AdmissionGate`
 that bounds concurrent execution (``max_workers``) and the number of ops
 allowed to wait for a slot (``max_queue``).  Beyond that the server
-**sheds**: a fast ``{"ok": false, "error": "overloaded",
-"retry_after_ms": n}`` instead of unbounded queueing — the elastic
+**sheds**: a fast ``OVERLOADED`` reply carrying a retry-after hint
+instead of unbounded queueing — the elastic
 answer to a demand burst is to grow the cluster, not to melt one node.
 Background-priority traffic is shed first (at half queue depth), and a
-request whose ``deadline_ms`` budget expires while queued is answered
-``deadline_exceeded`` rather than executed late.  Each connection also
+request whose deadline expires while queued is answered ``DEADLINE``
+rather than executed late.  Each connection also
 carries a socket timeout, so a half-open or stalled peer cannot pin a
 handler thread forever.
 
@@ -37,8 +37,8 @@ Replica namespace
 -----------------
 Every server additionally hosts a **replica namespace**: a second,
 independently-accounted :class:`_Store` holding buddy copies of *other*
-nodes' ranges (see :mod:`repro.live.replica`).  Any wire op carrying a
-truthy ``replica`` header field is routed to it, so replication reuses
+nodes' ranges (see :mod:`repro.live.replica`).  Any wire op carrying the
+``REPLICA`` header flag is routed to it, so replication reuses
 the entire batched wire path — puts, multi ops, sweeps, and the
 two-phase extract family all work against either namespace.  Replica
 capacity is ``capacity_bytes * replica_headroom`` and sits *outside*
@@ -48,6 +48,7 @@ node's own primaries to overflow.
 
 from __future__ import annotations
 
+import json
 import socketserver
 import threading
 import time
@@ -56,9 +57,17 @@ from typing import Callable
 from repro.btree.bplustree import BPlusTree
 from repro.btree.sweep import collect_range
 from repro.live.migration import TransferLedger
-from repro.live.protocol import (MAX_BATCH, MAX_BATCH_BYTES, ProtocolError,
-                                 FrameReader, enable_nodelay, send_frame,
-                                 send_frames)
+from repro.live.protocol import (
+    BACKGROUND, DEADLINE, DELETE, EXTRACT_ABORT, EXTRACT_COMMIT,
+    EXTRACT_PREPARE, FOUND, GET, IF_ABSENT, MULTI_GET, MULTI_PUT, NONE32, OK,
+    OVERFLOW, OVERLOADED, PING, PUT, RANGE, RECORDS, REPLICA, REQUEST_FLAGS,
+    SKIPPED, STATS, SWEEP, Frame, FrameError, FrameReader, ProtocolError,
+    enable_nodelay, error_frame, pack_pairs, pack_records, send_frame,
+    send_frames, split_records, unpack_keys, unpack_records)
+
+#: every request op the server answers.
+_OPS = frozenset((PING, STATS, GET, PUT, DELETE, MULTI_GET, MULTI_PUT,
+                  SWEEP, EXTRACT_PREPARE, EXTRACT_COMMIT, EXTRACT_ABORT))
 
 
 class AdmissionGate:
@@ -391,9 +400,8 @@ class _Store:
 
     # ------------------------------------------------------- range ops
 
-    def snapshot_range(self, lo: int, hi: int,
-                       destructive: bool = False) -> list[tuple[int, bytes]]:
-        """Collect (optionally removing) every record in ``[lo, hi]``.
+    def snapshot_range(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
+        """Collect every record in ``[lo, hi]``.
 
         Each stripe is visited under its own lock; the merged, key-sorted
         snapshot is returned for the caller to stream *outside* any lock,
@@ -407,13 +415,7 @@ class _Store:
         for stripe in self.stripes:
             stripe.acquire()
             try:
-                part = collect_range(stripe.tree, lo, hi)
-                if destructive:
-                    for key, value in part:
-                        stripe.tree.delete(key)
-                        with self._acct:
-                            self.used_bytes -= len(value)
-                records.extend(part)
+                records.extend(collect_range(stripe.tree, lo, hi))
             finally:
                 stripe.release()
         records.sort(key=lambda kv: kv[0])
@@ -460,7 +462,7 @@ class _Handler(socketserver.BaseRequestHandler):
         server.connections.add(self.request)  # type: ignore[attr-defined]
         enable_nodelay(self.request)
         # Buffered reads: all frames for this session come through one
-        # reader so batches cost a few recv syscalls, not 3 per record.
+        # reader, so back-to-back requests cost one recv between them.
         self.reader = FrameReader(self.request)
         # A stalled or half-open peer surfaces as a timeout inside
         # recv_frame (→ ProtocolError → session end) instead of pinning
@@ -476,104 +478,77 @@ class _Handler(socketserver.BaseRequestHandler):
         gate: AdmissionGate = self.server.gate  # type: ignore[attr-defined]
         while True:
             try:
-                header, body = self.reader.recv_frame()
+                frame = self.reader.recv_frame()
+                self._admit_and_dispatch(store, gate, frame,
+                                         time.monotonic())
+            except FrameError as exc:
+                # A v2 header or batch we refuse: say why, then end the
+                # session — the rest of the stream cannot be trusted.
+                send_frame(self.request, error_frame(str(exc)))
+                return
             except ProtocolError:
                 return  # disconnect, garbage, or idle timeout ends the session
-            arrival = time.monotonic()
-            try:
-                self._admit_and_dispatch(store, gate, header, body, arrival)
-            except ProtocolError:
-                return
             except Exception as exc:  # report, keep serving
-                send_frame(self.request, {"ok": False, "error": str(exc)})
+                send_frame(self.request, error_frame(str(exc)))
 
     # --------------------------------------------------------- admission
 
     def _admit_and_dispatch(self, store: _Store, gate: AdmissionGate,
-                            header: dict, body: bytes,
-                            arrival: float) -> None:
-        op = header.get("op")
-        if op in ("ping", "stats"):
+                            frame: Frame, arrival: float) -> None:
+        op = frame.code
+        if op not in _OPS:
+            send_frame(self.request, error_frame(f"unknown op {op:#04x}"))
+            return
+        if frame.flags & ~REQUEST_FLAGS:
+            send_frame(self.request, error_frame(
+                f"unknown flag bits {frame.flags & ~REQUEST_FLAGS:#04x}"))
+            return
+        if op in (PING, STATS):
             # Diagnostics bypass admission: health probes must keep
             # answering while the node sheds real work (overloaded is
             # not dead — the breaker and the detector treat them
             # differently).
-            self._dispatch(store, header, body, expires_at=None)
+            self._dispatch(store, frame, expires_at=None)
             return
         batch = None
-        if op in ("multi_get", "multi_put"):
-            # Consume the batch's record frames *before* admission: a
-            # shed/deadline refusal must still leave the stream on a
-            # frame boundary, or every later request would desync.
-            batch = self._read_batch(op, header)
-        expires_at = None
-        deadline_ms = header.get("deadline_ms")
-        if deadline_ms is not None:
-            try:
-                expires_at = arrival + float(deadline_ms) / 1000.0
-            except (TypeError, ValueError):
-                send_frame(self.request, {
-                    "ok": False,
-                    "error": f"bad deadline_ms {deadline_ms!r}"})
-                return
-        priority = str(header.get("priority", "user"))
+        if op == MULTI_GET or op == MULTI_PUT:
+            # Unpack (and so validate) the batch *before* admission: a
+            # malformed one is refused whatever the load.
+            batch = self._unpack_batch(frame)
+        expires_at = arrival + frame.ms / 1000.0 if frame.ms else None
+        priority = "background" if frame.flags & BACKGROUND else "user"
         verdict = gate.try_admit(priority=priority, expires_at=expires_at)
         if verdict == "overloaded":
-            send_frame(self.request, {
-                "ok": False, "error": "overloaded",
-                "retry_after_ms": gate.retry_after_ms})
+            send_frame(self.request, Frame(OVERLOADED,
+                                           ms=gate.retry_after_ms))
             return
         if verdict == "deadline":
-            send_frame(self.request, {"ok": False,
-                                      "error": "deadline_exceeded"})
+            send_frame(self.request, Frame(DEADLINE))
             return
         try:
             delay = self.server.op_delay_s  # type: ignore[attr-defined]
             if delay:  # synthetic service time for overload benches
                 time.sleep(delay)
-            self._dispatch(store, header, body, expires_at=expires_at,
+            self._dispatch(store, frame, expires_at=expires_at,
                            batch=batch)
         finally:
             gate.release()
 
-    def _read_batch(self, op: str, header: dict) -> list:
-        """Read a multi-op's ``n`` record frames off the wire.
+    def _unpack_batch(self, frame: Frame) -> list:
+        """A multi-op's keys or ``(key, value)`` records.
 
-        An invalid declaration (non-numeric, negative, over
-        :data:`MAX_BATCH`, or a batch whose bodies exceed
-        :data:`MAX_BATCH_BYTES`) is answered ``{"ok": false}`` and then
-        treated as a framing violation — the remaining stream cannot be
-        trusted, so the session ends, exactly like an oversized frame.
+        Its size limits were checked from the header before the body was
+        read; a body that disagrees with its own index raises
+        :class:`FrameError` (error reply, then the session ends).
         """
-        try:
-            n = int(header.get("n"))
-        except (TypeError, ValueError):
-            n = -1
-        if n < 0 or n > MAX_BATCH:
-            send_frame(self.request, {
-                "ok": False,
-                "error": f"bad batch size {header.get('n')!r} "
-                         f"(max {MAX_BATCH})"})
-            raise ProtocolError(f"bad batch size {header.get('n')!r}")
-        batch: list = []
-        total = 0
-        for _ in range(n):
-            head, body = self.reader.recv_frame()
-            try:
-                key = int(head["key"])
-            except (KeyError, TypeError, ValueError) as exc:
-                send_frame(self.request, {
-                    "ok": False, "error": f"bad batch record {head!r}"})
-                raise ProtocolError(f"bad batch record {head!r}") from exc
-            total += len(body)
-            if total > MAX_BATCH_BYTES:
-                send_frame(self.request, {
-                    "ok": False,
-                    "error": f"batch exceeds {MAX_BATCH_BYTES} B"})
-                raise ProtocolError("batch body limit exceeded")
-            batch.append((key, body) if op == "multi_put" else key)
+        if frame.code == MULTI_GET:
+            batch: list = list(unpack_keys(frame))
+        else:
+            batch = unpack_records(frame)
+            if any(value is None for _, value in batch):
+                raise FrameError("multi_put record without a value")
         store: _Store = self.server.store  # type: ignore[attr-defined]
-        store.note_batch(n)
+        store.note_batch(frame.n)
         return batch
 
     @staticmethod
@@ -584,107 +559,87 @@ class _Handler(socketserver.BaseRequestHandler):
 
     # ---------------------------------------------------------- dispatch
 
-    def _dispatch(self, store: _Store, header: dict, body: bytes,
+    def _send_records(self, head: list, records: list) -> None:
+        """``head`` frames, then ``records`` as ``RECORDS`` chunks (see
+        :func:`~repro.live.protocol.split_records`) — one coalesced
+        write for a typical batch.  Without ``head`` (a ``multi_get``
+        reply) at least one chunk goes out, even for no records."""
+        frames = head + [Frame(RECORDS, n=len(chunk),
+                               body=pack_records(chunk))
+                         for chunk in split_records(records)]
+        send_frames(self.request, frames or [Frame(RECORDS)])
+
+    def _dispatch(self, store: _Store, frame: Frame,
                   expires_at: float | None, batch: list | None = None) -> None:
-        op = header.get("op")
+        op, key, body = frame.code, frame.key, frame.body
         sock = self.request
-        if header.get("replica"):
+        if frame.flags & REPLICA:
             # Replica-flagged frames operate on the buddy-copy namespace:
             # same ops, separate trees, separate capacity accounting.
             store = self.server.replica_store  # type: ignore[attr-defined]
         if self._expired(expires_at):
-            send_frame(sock, {"ok": False, "error": "deadline_exceeded"})
+            send_frame(sock, Frame(DEADLINE))
             return
-        if op == "ping":
-            send_frame(sock, {"ok": True, "pong": True})
-        elif op == "get":
-            value = store.get(int(header["key"]))
-            if value is None:
-                send_frame(sock, {"ok": True, "found": False})
-            else:
-                send_frame(sock, {"ok": True, "found": True}, body=value)
-        elif op == "put":
+        if op == GET:
+            value = store.get(key)
+            send_frame(sock, Frame(OK) if value is None
+                       else Frame(OK, FOUND, body=value))
+        elif op == PUT:
             stored, n, skipped = store.put(
-                int(header["key"]), body,
-                if_absent=bool(header.get("if_absent")))
+                key, body, if_absent=bool(frame.flags & IF_ABSENT))
             if not stored:
-                send_frame(sock, {"ok": False, "error": "overflow",
-                                  "free": n})
-            elif skipped:
-                send_frame(sock, {"ok": True, "freed": 0, "skipped": True})
+                send_frame(sock, Frame(OVERFLOW, key=max(n, 0)))
             else:
-                send_frame(sock, {"ok": True, "freed": n})
-        elif op == "delete":
-            freed = store.delete(int(header["key"]))
-            send_frame(sock, {"ok": True, "found": freed > 0, "freed": freed})
-        elif op == "multi_get":
-            found = store.multi_get(batch or [])
-            # Reply header + record frames in request order, coalesced
-            # into large writes; locks already released.
-            frames: list[tuple[dict, bytes]] = [
-                ({"ok": True, "count": len(batch or [])}, b"")]
-            for key in batch or []:
-                value = found.get(key)
-                if value is None:
-                    frames.append(({"key": key, "found": False}, b""))
-                else:
-                    frames.append(({"key": key, "found": True}, value))
-            send_frames(sock, frames)
-        elif op == "multi_put":
+                send_frame(sock, Frame(OK, SKIPPED if skipped else 0, n=n))
+        elif op == DELETE:
+            freed = store.delete(key)
+            send_frame(sock, Frame(OK, FOUND if freed else 0, n=freed))
+        elif op == MULTI_GET:
+            found = store.multi_get(batch)
+            self._send_records([], [(k, found.get(k)) for k in batch])
+        elif op == MULTI_PUT:
             stored, freed_by_key, skipped, error = store.multi_put(
-                batch or [], expired=lambda: self._expired(expires_at),
-                if_absent=bool(header.get("if_absent")))
-            freed_list = [[k, n] for k, n in freed_by_key.items()]
-            if error is None:
-                reply = {"ok": True, "acked": len(stored),
-                         "freed": freed_list}
-                if skipped:
-                    reply["skipped"] = skipped
-                send_frame(sock, reply)
-            else:
-                # Partial batches report what *was* applied, so the
-                # client retries only the unacknowledged suffix.
-                send_frame(sock, {"ok": False, "error": error,
-                                  "acked": len(stored), "stored": stored,
-                                  "skipped": skipped, "freed": freed_list})
-        elif op in ("sweep", "extract"):
-            lo, hi = int(header["lo"]), int(header["hi"])
-            # Legacy destructive extraction (kept for wire
-            # compatibility); migrations use the two-phase family so a
-            # crash cannot lose records.  Snapshot under the stripe
-            # locks, stream after release — a slow reader must not
-            # stall the node.
-            records = store.snapshot_range(lo, hi,
-                                           destructive=(op == "extract"))
-            send_frames(sock, [({"ok": True, "count": len(records)}, b"")]
-                        + [({"key": key}, value) for key, value in records])
-        elif op == "extract_prepare":
-            lo, hi = int(header["lo"]), int(header["hi"])
-            lease = header.get("lease_s")
-            records = store.snapshot_range(lo, hi)
-            token = store.transfers.prepare(
-                lo, hi, records,
-                lease_s=float(lease) if lease is not None else None)
-            send_frames(sock,
-                        [({"ok": True, "token": token,
-                           "count": len(records)}, b"")]
-                        + [({"key": key}, value) for key, value in records])
-        elif op == "extract_commit":
-            token = str(header["token"])
+                batch, expired=lambda: self._expired(expires_at),
+                if_absent=bool(frame.flags & IF_ABSENT))
+            # Every key applied (or skipped) is listed, so a batch that
+            # stopped part-way tells the client which suffix to retry.
+            keys = stored + skipped
+            freed = [freed_by_key.get(k, 0) for k in stored]
+            code = (OK if error is None
+                    else OVERFLOW if error == "overflow" else DEADLINE)
+            send_frame(sock, Frame(code, n=len(keys), body=pack_pairs(
+                keys, freed + [NONE32] * len(skipped))))
+        elif op == SWEEP or op == EXTRACT_PREPARE:
+            if len(body) != RANGE.size:
+                raise ValueError(f"{len(body)} B range body, "
+                                 f"want {RANGE.size} B")
+            hi, lease_ms = RANGE.unpack(body)
+            # Snapshot under the stripe locks, stream after release — a
+            # slow reader must not stall the node.
+            records = store.snapshot_range(key, hi)
+            token = b""
+            if op == EXTRACT_PREPARE:
+                token = store.transfers.prepare(
+                    key, hi, records,
+                    lease_s=lease_ms / 1000.0 if lease_ms else None).encode()
+            self._send_records([Frame(OK, n=len(records), body=token)],
+                               records)
+        elif op == EXTRACT_COMMIT or op == EXTRACT_ABORT:
+            if not body:
+                raise ValueError("missing transfer token")
+            token = body.decode("utf-8", "replace")
+            if op == EXTRACT_ABORT:
+                released = store.transfers.abort(token)
+                send_frame(sock, Frame(OK, FOUND if released else 0))
+                return
             transfer = store.transfers.commit(token)
             removed = 0
             if transfer is not None:
                 removed = store.delete_keys(transfer.keys)
-            send_frame(sock, {"ok": True, "known": transfer is not None,
-                              "removed": removed})
-        elif op == "extract_abort":
-            token = str(header["token"])
-            released = store.transfers.abort(token)
-            send_frame(sock, {"ok": True, "released": released})
-        elif op == "stats":
+            send_frame(sock, Frame(OK, FOUND if transfer else 0, n=removed))
+        elif op == STATS:
             gate: AdmissionGate = self.server.gate  # type: ignore[attr-defined]
             reply = {
-                "ok": True,
                 "capacity_bytes": store.capacity_bytes,
                 "transfers_pending": store.transfers.pending,
                 "transfers_committed": store.transfers.committed,
@@ -702,9 +657,9 @@ class _Handler(socketserver.BaseRequestHandler):
                 "hits": counters["hits"],
                 "misses": counters["misses"],
             }
-            send_frame(sock, reply)
-        else:
-            send_frame(sock, {"ok": False, "error": f"unknown op {op!r}"})
+            send_frame(sock, Frame(OK, body=json.dumps(reply).encode()))
+        else:  # PING
+            send_frame(sock, Frame(OK))
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

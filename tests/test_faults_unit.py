@@ -243,28 +243,6 @@ class TestClientRetryRules:
             client.close()
             second.stop()
 
-    def test_legacy_extract_never_retries(self):
-        """Regression: a stale connection must fail the *legacy*
-        destructive extract loudly (zero retries) — replaying it would
-        lose the records a half-run already removed."""
-        first = LiveCacheServer(capacity_bytes=1 << 20).start()
-        host, port = first.address
-        client = LiveCacheClient((host, port), retry=FAST)
-        client.put(1, b"x")
-        first.stop()
-        second = LiveCacheServer(host=host, port=port,
-                                 capacity_bytes=1 << 20).start()
-        try:
-            before = client.retries
-            with pytest.raises((ProtocolError, OSError)):
-                client.extract_legacy(0, 100)  # stale socket, no retry
-            assert client.retries == before
-            # the connection recovers for idempotent ops afterwards
-            assert client.ping()
-        finally:
-            client.close()
-            second.stop()
-
     @pytest.mark.parametrize("op", ["sweep", "extract_prepare"])
     def test_nondestructive_range_streams_retry(self, op):
         """The flip side: ``sweep`` (read-only) and ``extract_prepare``

@@ -140,17 +140,6 @@ class TestSingleServer:
             client.extract(0, 10)
         client.close()
 
-    def test_legacy_extract_does_not_retry_on_dead_server(self):
-        server = LiveCacheServer(capacity_bytes=1 << 20).start()
-        client = LiveCacheClient(server.address)
-        client.put(1, b"x")
-        server.stop()
-        before = client.retries
-        with pytest.raises((ProtocolError, OSError)):
-            client.extract_legacy(0, 10)
-        assert client.retries == before
-        client.close()
-
 
 class TestCluster:
     @pytest.fixture

@@ -8,7 +8,6 @@ tests proving the live server enforces the same contracts end to end.
 """
 
 import socket
-import struct
 import threading
 import time
 
@@ -19,9 +18,10 @@ from repro.faults.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.live.client import LiveCacheClient, LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
 from repro.live.migration import TransferLedger, migrate_range
-from repro.live.protocol import (DeadlineError, OverloadedError,
-                                 ProtocolError, ServerError, error_from_reply,
-                                 recv_frame, send_frame)
+from repro.live.protocol import (DEADLINE, ERROR, GET, HEADER_BYTES, OVERLOADED,
+                                 DeadlineError, Frame, OverloadedError,
+                                 ProtocolError, ServerError, encode,
+                                 error_from_reply)
 from repro.live.server import AdmissionGate, LiveCacheServer
 
 NO_RETRY = RetryPolicy(max_attempts=1, deadline_s=2.0,
@@ -309,21 +309,19 @@ class TestMigrateRange:
 
 class TestErrorMapping:
     def test_overloaded_reply_maps_to_typed_error(self):
-        exc = error_from_reply({"ok": False, "error": "overloaded",
-                                "retry_after_ms": 40}, "op failed")
+        exc = error_from_reply(Frame(OVERLOADED, ms=40), "op failed")
         assert isinstance(exc, OverloadedError)
         assert exc.retry_after_ms == 40
 
     def test_deadline_reply_maps_to_typed_error(self):
-        exc = error_from_reply({"ok": False, "error": "deadline_exceeded"},
-                               "op failed")
+        exc = error_from_reply(Frame(DEADLINE), "op failed")
         assert isinstance(exc, DeadlineError)
 
     def test_other_errors_map_to_server_error(self):
         """Refusals without a dedicated type are ServerError — still a
         ProtocolError, but marked as a deterministic, well-formed reply
         (batched ops give up instead of resending the same records)."""
-        exc = error_from_reply({"ok": False, "error": "overflow: full"},
+        exc = error_from_reply(Frame(ERROR, body=b"overflow: full"),
                                "op failed")
         assert type(exc) is ServerError
         assert isinstance(exc, ProtocolError)
@@ -438,13 +436,6 @@ class TestDeadlineWire:
         finally:
             srv.stop()
 
-    def test_bad_deadline_header_is_an_error_reply(self, server):
-        with socket.create_connection(server.address, timeout=2.0) as sock:
-            send_frame(sock, {"op": "get", "key": 1, "deadline_ms": "soon"})
-            reply, _ = recv_frame(sock)
-            assert reply["ok"] is False
-            assert "deadline_ms" in reply["error"]
-
 
 class TestOverloadWire:
     def _saturated(self):
@@ -524,10 +515,10 @@ class TestIdleTimeout:
                               idle_timeout_s=0.2).start()
         try:
             with socket.create_connection(srv.address, timeout=2.0) as sock:
-                # promise 100 header bytes, send 4, then stall: the
-                # server's socket timeout must end the session instead
-                # of pinning a thread forever.
-                sock.sendall(struct.pack(">I", 100) + b'{"op')
+                # send half a header, then stall: the server's socket
+                # timeout must end the session instead of pinning a
+                # thread forever.
+                sock.sendall(encode(Frame(GET, key=1))[:HEADER_BYTES // 2])
                 try:
                     data = sock.recv(1)
                 except ConnectionError:
