@@ -78,8 +78,8 @@ def test_batch_speedup():
         stats = client.stats()
         lines.append(f"  server saw {stats['multi_ops']} multi-ops, "
                      f"max batch {stats['max_batch']}, "
-                     f"{stats['stripes']} lock stripes, "
-                     f"{stats['stripe_contention']} contended acquisitions")
+                     f"{stats['stripe_contention']} contended store-lock "
+                     f"acquisitions")
         emit("bench_batch", "\n".join(lines))
 
         # Acceptance: batch 64 amortizes >= 5x over per-key round-trips.

@@ -142,7 +142,7 @@ class _Fleet:
         return LiveCacheServer(
             host=host, port=port,
             capacity_bytes=self.config.capacity_bytes,
-            stripes=4, max_workers=8, max_queue=32).start()
+            max_workers=8, max_queue=32).start()
 
     def retire(self, server: LiveCacheServer) -> None:
         """Stop a server without blocking the caller.

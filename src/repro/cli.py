@@ -175,12 +175,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = LiveCacheServer(host=args.host, port=args.port,
                              capacity_bytes=args.capacity,
                              max_workers=args.max_workers,
-                             max_queue=args.max_queue,
-                             stripes=args.stripes).start()
+                             max_queue=args.max_queue).start()
     host, port = server.address
     print(f"cache server listening on {host}:{port} "
           f"(capacity {args.capacity} B, {args.max_workers} workers, "
-          f"queue {args.max_queue}, {args.stripes} lock stripes); "
+          f"queue {args.max_queue}); "
           f"Ctrl-C to stop")
     stop = threading.Event()
     if args.run_seconds is not None:  # test hook: bounded lifetime
@@ -310,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent ops before requests queue")
     p_serve.add_argument("--max-queue", type=int, default=64,
                          help="queued ops before requests are shed")
-    p_serve.add_argument("--stripes", type=int, default=8,
-                         help="store lock stripes (1 = one global lock)")
     p_serve.add_argument("--run-seconds", type=float, default=None,
                          help=argparse.SUPPRESS)  # test hook
     p_serve.set_defaults(func=_cmd_serve)

@@ -18,9 +18,12 @@ Batched hot path: :meth:`LiveCacheClient.multi_get` /
 with a packed body per chunk, chunks pipelined up to
 ``pipeline_depth`` deep), and :meth:`LiveClusterClient.get_many` /
 :meth:`~LiveClusterClient.put_many` scatter-gather those batches across
-ring owners in parallel, sharing one deadline budget and degrading per
-shard — an overloaded or dead shard costs misses for its keys, never
-the whole batch.
+ring owners from the calling thread: every owner's first window is
+sent (``send_multi_get``/``send_multi_put``, connection locks taken in
+address order) before any reply is drained, so the servers overlap
+without helper threads.  A fan-out shares one deadline budget and
+degrades per shard — an overloaded or dead shard costs misses for its
+keys, never the whole batch.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import random
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.ring import ConsistentHashRing
 from repro.faults.retry import RetryPolicy, call_with_retry
@@ -45,6 +48,13 @@ from repro.live.protocol import (
     ServerError, describe, enable_nodelay, error_from_reply, pack_keys,
     pack_records, send_frame, send_frames, split_records, unpack_pairs,
     unpack_records)
+
+
+def _expiry(deadline_ms: float | None) -> float | None:
+    """The monotonic instant a ``deadline_ms`` budget runs out."""
+    if deadline_ms is None:
+        return None
+    return time.monotonic() + deadline_ms / 1000.0
 
 
 @dataclass
@@ -194,8 +204,7 @@ class LiveCacheClient:
     def _call(self, frame: Frame, deadline_ms: float | None = None,
               default: str = "request failed") -> Frame:
         """One retried request → its ``OK`` reply, or the typed error."""
-        expires_at = (time.monotonic() + deadline_ms / 1000.0
-                      if deadline_ms is not None else None)
+        expires_at = _expiry(deadline_ms)
         with self._lock:
             reply = call_with_retry(
                 lambda: self._attempt(frame, expires_at),
@@ -282,39 +291,53 @@ class LiveCacheClient:
             raise ProtocolError(f"{len(records)} records for {count} asked")
         return records
 
-    def _pipelined_attempt(self, op: int, chunks: list[tuple[list, bytes]],
-                           state: dict, expires_at: float | None,
-                           flags: int) -> None:
-        """One pipelined pass over the chunks not yet acknowledged.
+    def _send_window(self, op: int, chunks: list, run: dict,
+                     expires_at: float | None, flags: int) -> None:
+        """Put the next chunks on the wire — one coalesced write — until
+        ``pipeline_depth`` are in flight (none after a refusal)."""
+        window = []
+        pending = run["pending"]
+        while (run["next"] < len(chunks) and run["error"] is None
+               and len(pending) < self.pipeline_depth):
+            items, body = chunks[run["next"]]
+            window.append(self._stamp_deadline(
+                Frame(op, flags, n=len(items), body=body), expires_at))
+            pending.append(run["next"])
+            run["next"] += 1
+        if window:
+            send_frames(self._sock, window)
 
-        Up to ``pipeline_depth`` batches ride the wire before the first
-        reply is drained; replies correlate positionally (the server
-        answers in order).  ``state["done"]`` — the count of fully
-        acknowledged leading chunks — survives transport failures, so a
-        retry resends only the unacknowledged suffix.  A typed refusal
-        (overloaded / deadline / overflow) is a complete reply on a
-        healthy connection: the remaining in-flight replies are drained
-        first, then the error is raised with the socket kept.
+    def _start_attempt(self, op: int, chunks: list, state: dict,
+                       expires_at: float | None, flags: int) -> dict:
+        """First half of one pipelined pass over the chunks not yet
+        acknowledged: (re)connect and send the first window.
+
+        ``state["done"]`` — the count of fully acknowledged leading
+        chunks — survives transport failures, so a retry resends only
+        the unacknowledged suffix.  Returns the pass's cursor for
+        :meth:`_finish_attempt`.
         """
-        sock = self._ensure_locked()
-        error: ProtocolError | None = None
+        run = {"next": state["done"], "pending": [], "error": None}
         try:
-            pending: list[int] = []
-            i = state["done"]
-            while state["done"] < len(chunks) and (pending or error is None):
-                window = []
-                while (i < len(chunks) and error is None
-                       and len(pending) < self.pipeline_depth):
-                    items, body = chunks[i]
-                    window.append(self._stamp_deadline(
-                        Frame(op, flags, n=len(items), body=body),
-                        expires_at))
-                    pending.append(i)
-                    i += 1
-                if window:  # one coalesced write for the whole window
-                    send_frames(sock, window)
-                if not pending:
-                    break
+            self._ensure_locked()
+            self._send_window(op, chunks, run, expires_at, flags)
+        except (ProtocolError, OSError):
+            self._drop_locked()
+            raise
+        return run
+
+    def _finish_attempt(self, op: int, chunks: list, state: dict, run: dict,
+                        expires_at: float | None, flags: int) -> None:
+        """Second half of a pipelined pass: drain replies in order
+        (they correlate positionally), refilling the window as replies
+        free it.  A typed refusal (overloaded / deadline / overflow) is
+        a complete reply on a healthy connection: the remaining
+        in-flight replies are drained first, then the error is raised
+        with the socket kept.
+        """
+        pending = run["pending"]
+        try:
+            while state["done"] < len(chunks) and pending:
                 reply = self._reader.recv_frame()
                 idx = pending.pop(0)
                 ok = reply.code == (RECORDS if op == MULTI_GET else OK)
@@ -324,8 +347,8 @@ class LiveCacheClient:
                         if value is not None:
                             state["found"][key] = value
                 elif op == MULTI_PUT and (ok or (
-                        error is None and reply.code in (OVERFLOW,
-                                                         DEADLINE))):
+                        run["error"] is None and reply.code in (OVERFLOW,
+                                                                DEADLINE))):
                     # Every key applied (or skipped) is listed; after a
                     # refusal that is exactly the acknowledged prefix.
                     for key, freed in unpack_pairs(reply):
@@ -338,31 +361,89 @@ class LiveCacheClient:
                 if ok:
                     if idx == state["done"]:
                         state["done"] = idx + 1
-                elif error is None:
-                    error = error_from_reply(reply, "batch failed")
+                elif run["error"] is None:
+                    run["error"] = error_from_reply(reply, "batch failed")
+                self._send_window(op, chunks, run, expires_at, flags)
         except (ProtocolError, OSError):
             # Transport death mid-pipeline: the cursor position is
             # unknown — drop the socket; state["done"] marks the suffix
             # a retry must resend.
             self._drop_locked()
             raise
-        if error is not None:
-            raise error
+        if run["error"] is not None:
+            raise run["error"]
 
     def _pipelined(self, op: int, chunks: list, state: dict,
-                   deadline_ms: float | None, flags: int) -> None:
-        expires_at = (time.monotonic() + deadline_ms / 1000.0
-                      if deadline_ms is not None else None)
-        with self._lock:
-            call_with_retry(
-                lambda: self._pipelined_attempt(op, chunks, state,
-                                                expires_at, flags),
-                self.retry,
-                retry_on=(ProtocolError, OSError),
-                give_up_on=(OverloadedError, DeadlineError, ServerError),
-                rng=self._rng,
-                on_retry=self._note_retry,
-            )
+                   deadline_ms: float | None, flags: int
+                   ) -> Callable[[], None]:
+        """Phase one of a pipelined batch: take this connection's lock
+        and send the first window.  Returns phase two, the *drain*: it
+        reads the replies, retries the unacknowledged suffix under the
+        client's :class:`~repro.faults.retry.RetryPolicy`, and releases
+        the lock however it ends.  A transport error while sending is
+        held back for the drain, so the policy sees it as the first
+        attempt's failure.  The caller must call the drain exactly once.
+        """
+        expires_at = _expiry(deadline_ms)
+        self._lock.acquire()
+        try:
+            started = self._start_attempt(op, chunks, state, expires_at,
+                                          flags)
+        except (ProtocolError, OSError) as exc:
+            started = exc
+        except BaseException:
+            self._lock.release()
+            raise
+
+        def attempt() -> None:
+            nonlocal started
+            run, started = started, None
+            if isinstance(run, BaseException):
+                raise run
+            if run is None:
+                run = self._start_attempt(op, chunks, state, expires_at,
+                                          flags)
+            self._finish_attempt(op, chunks, state, run, expires_at, flags)
+
+        def drain() -> None:
+            try:
+                call_with_retry(
+                    attempt,
+                    self.retry,
+                    retry_on=(ProtocolError, OSError),
+                    give_up_on=(OverloadedError, DeadlineError, ServerError),
+                    rng=self._rng,
+                    on_retry=self._note_retry,
+                )
+            finally:
+                self._lock.release()
+        return drain
+
+    def send_multi_get(self, keys: list[int],
+                       deadline_ms: float | None = None,
+                       priority: str | None = None,
+                       replica: bool = False
+                       ) -> Callable[[], dict[int, bytes]]:
+        """:meth:`multi_get` split in two: send now, collect later.
+
+        Takes the connection's lock and sends the first pipeline window;
+        returns a zero-arg drain that reads the replies, returns
+        ``{key: value}`` for the found keys (or raises like
+        :meth:`multi_get`), and releases the lock.  A cluster fan-out
+        sends to every shard before it drains any.
+        """
+        if not keys:
+            return dict  # nothing to send: the drain is an empty result
+        chunks = [(chunk, pack_keys(chunk))
+                  for chunk in self._chunks(list(keys))]
+        state: dict = {"done": 0, "found": {}}
+        drain = self._pipelined(MULTI_GET, chunks, state, deadline_ms,
+                                self._flags(priority, replica=replica))
+
+        def collect() -> dict[int, bytes]:
+            drain()
+            return state["found"]
+        return collect
 
     def multi_get(self, keys: list[int], deadline_ms: float | None = None,
                   priority: str | None = None,
@@ -374,14 +455,37 @@ class LiveCacheClient:
         reads are idempotent, and a reconnect resends only the chunks
         whose replies never arrived.
         """
-        if not keys:
-            return {}
-        chunks = [(chunk, pack_keys(chunk))
-                  for chunk in self._chunks(list(keys))]
-        state: dict = {"done": 0, "found": {}}
-        self._pipelined(MULTI_GET, chunks, state, deadline_ms,
-                        self._flags(priority, replica=replica))
-        return state["found"]
+        return self.send_multi_get(keys, deadline_ms, priority, replica)()
+
+    def send_multi_put(self, items: list[tuple[int, bytes]],
+                       deadline_ms: float | None = None,
+                       priority: str | None = None,
+                       if_absent: bool = False,
+                       replica: bool = False
+                       ) -> Callable[[], MultiPutResult]:
+        """:meth:`multi_put` split in two, like :meth:`send_multi_get`:
+        the returned drain yields the :class:`MultiPutResult` (it never
+        raises a protocol error)."""
+        if not items:
+            return MultiPutResult  # nothing to send: an empty result
+        chunks = [(chunk, pack_records(chunk))
+                  for chunk in split_records(list(items), self.max_batch)]
+        state: dict = {"done": 0, "stored": [], "freed": {}, "skipped": []}
+        drain = self._pipelined(MULTI_PUT, chunks, state, deadline_ms,
+                                self._flags(priority, if_absent, replica))
+
+        def collect() -> MultiPutResult:
+            error: ProtocolError | None = None
+            try:
+                drain()
+            except ProtocolError as exc:
+                error = exc
+            except OSError as exc:
+                error = ProtocolError(str(exc))
+                error.__cause__ = exc
+            return MultiPutResult(state["stored"], state["freed"], error,
+                                  state["skipped"])
+        return collect
 
     def multi_put(self, items: list[tuple[int, bytes]],
                   deadline_ms: float | None = None,
@@ -398,22 +502,8 @@ class LiveCacheClient:
         overflow) stops the batch and surfaces as ``result.error`` with
         ``result.stored`` telling exactly which keys made it.
         """
-        if not items:
-            return MultiPutResult()
-        chunks = [(chunk, pack_records(chunk))
-                  for chunk in split_records(list(items), self.max_batch)]
-        state: dict = {"done": 0, "stored": [], "freed": {}, "skipped": []}
-        error: ProtocolError | None = None
-        try:
-            self._pipelined(MULTI_PUT, chunks, state, deadline_ms,
-                            self._flags(priority, if_absent, replica))
-        except ProtocolError as exc:
-            error = exc
-        except OSError as exc:
-            error = ProtocolError(str(exc))
-            error.__cause__ = exc
-        return MultiPutResult(state["stored"], state["freed"], error,
-                              state["skipped"])
+        return self.send_multi_put(items, deadline_ms, priority, if_absent,
+                                   replica)()
 
     # --------------------------------------------------------- range ops
 
@@ -598,10 +688,6 @@ class LiveClusterClient:
     See ``examples/live_cluster.py`` and ``tests/test_live.py``.
     """
 
-    #: upper bound on concurrent per-server branches of one batched
-    #: fan-out (the pool is shared across calls and created lazily).
-    FANOUT_WORKERS = 8
-
     def __init__(self, addresses: list[tuple[str, int]],
                  ring_range: int = 1 << 32,
                  retry: RetryPolicy | None = None,
@@ -616,9 +702,10 @@ class LiveClusterClient:
         #: buckets owned by servers that died, keyed by address — the
         #: state :meth:`restore_server` needs to undo a failover.
         self._failed: dict[tuple[str, int], list[int]] = {}
-        self._pool: ThreadPoolExecutor | None = None
         #: shard branches of batched fan-outs that degraded to misses
+        #: (guarded by ``_failures_lock``: fan-outs run on many threads)
         self.batch_shard_failures = 0
+        self._failures_lock = threading.Lock()
         #: serialises routed ops (shared) against topology edits
         #: (exclusive) — see :class:`_TopologyLock`.
         self._topo = _TopologyLock()
@@ -652,9 +739,6 @@ class LiveClusterClient:
 
     def close(self) -> None:
         """Close all server connections."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
         for client in list(self.clients.values()):
             client.close()
         for client in list(self._forward_clients.values()):
@@ -857,31 +941,102 @@ class LiveClusterClient:
             return None
         return (expires_at - time.monotonic()) * 1000.0
 
-    def _group_by_owner(self, entries) -> dict[tuple[str, int], list]:
+    def _note_shard_failure(self) -> None:
+        with self._failures_lock:
+            self.batch_shard_failures += 1
+
+    @staticmethod
+    def _lock_order(groups: dict) -> list[tuple[LiveCacheClient, list]]:
+        """``{client: entries}`` as pairs sorted by server address: the
+        one order every fan-out takes connection locks in, so fan-outs
+        on concurrent threads can never wait on each other in a cycle."""
+        return sorted(groups.items(), key=lambda kv: kv[0].address)
+
+    def _group_by_owner(self, entries) -> dict[LiveCacheClient, list]:
         """Split batch entries across ring owners (``h(k)`` routing)."""
         groups: dict[tuple[str, int], list] = {}
         for entry in entries:
             key = entry[0] if isinstance(entry, tuple) else entry
             groups.setdefault(self.address_for(key), []).append(entry)
-        return groups
+        return {self.clients[addr]: group for addr, group in groups.items()}
 
     def _fan_out(self, branches: list) -> list:
-        """Run ``branches`` (zero-arg callables), one per shard, through
-        the shared thread pool; a single branch runs inline (no pool
-        hop on the common single-shard case)."""
-        if len(branches) == 1:
-            return [branches[0]()]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.FANOUT_WORKERS,
-                thread_name_prefix="cluster-fanout")
-        return [f.result() for f in
-                [self._pool.submit(b) for b in branches]]
+        """Scatter-gather on the calling thread, in two phases.
+
+        Each branch (a zero-arg callable, one per server, in lock order)
+        takes its connection's lock, sends its first pipeline window and
+        returns a zero-arg drain.  Once every server has its requests,
+        the drains run in the same order, each reading one server's
+        replies and releasing its lock — the servers work in parallel
+        while this thread waits on the first.  Returns the drains'
+        results in branch order.
+        """
+        drains: list = []
+        try:
+            for branch in branches:
+                drains.append(branch())
+        finally:
+            # Every started branch holds a lock only its drain releases.
+            results, error = [], None
+            for drain in drains:
+                try:
+                    results.append(drain())
+                except BaseException as exc:
+                    error = error or exc
+            if error is not None:
+                raise error
+        return results
+
+    def _fetch_many(self, groups, deadline_ms: float | None,
+                    priority: str | None = None,
+                    replica: bool = False) -> dict[int, bytes]:
+        """One fan-out of ``multi_get`` over ``{client: keys}``, merged.
+        A failed server contributes misses for its keys and is counted
+        in ``batch_shard_failures``; each server gets the budget that
+        remains when its request is sent."""
+        if not groups:
+            return {}
+        expires_at = _expiry(deadline_ms)
+
+        def branch(client, keys):
+            drain = client.send_multi_get(
+                keys, self._remaining_ms(expires_at), priority, replica)
+
+            def collect() -> dict[int, bytes]:
+                try:
+                    return drain()
+                except (ProtocolError, OSError):
+                    self._note_shard_failure()
+                    return {}
+            return collect
+
+        found: dict[int, bytes] = {}
+        for part in self._fan_out([lambda c=c, g=g: branch(c, g)
+                                   for c, g in self._lock_order(groups)]):
+            found.update(part)
+        return found
+
+    def _put_groups(self, groups, deadline_ms: float | None,
+                    priority: str | None = None, replica: bool = False
+                    ) -> list[tuple[list, MultiPutResult]]:
+        """One fan-out of ``multi_put`` over ``{client: records}``: each
+        server's records paired with its result."""
+        if not groups:
+            return []
+        expires_at = _expiry(deadline_ms)
+        pairs = self._lock_order(groups)
+        results = self._fan_out([
+            lambda c=c, g=g: c.send_multi_put(
+                g, self._remaining_ms(expires_at), priority, replica=replica)
+            for c, g in pairs])
+        return [(group, result)
+                for (_, group), result in zip(pairs, results)]
 
     def get_many(self, keys, deadline_ms: float | None = None,
                  priority: str | None = None) -> dict[int, bytes]:
         """Scatter-gather fetch: group keys by ring owner, one pipelined
-        ``multi_get`` per server (in parallel), merge the results.
+        ``multi_get`` per server (all sent before any is drained), merge
+        the results.
 
         Degrades per shard: an unreachable, overloaded, or out-of-budget
         shard contributes misses for *its* keys — the rest of the batch
@@ -891,28 +1046,10 @@ class LiveClusterClient:
         keys = list(keys)
         if not keys:
             return {}
-        expires_at = (time.monotonic() + deadline_ms / 1000.0
-                      if deadline_ms is not None else None)
-
-        def fetch(addr, group):
-            client = self.clients.get(addr)
-            if client is None:  # shard failed over mid-flight
-                return {}
-            try:
-                return client.multi_get(
-                    group, deadline_ms=self._remaining_ms(expires_at),
-                    priority=priority)
-            except (ProtocolError, OSError):
-                self.batch_shard_failures += 1
-                return {}
-
+        expires_at = _expiry(deadline_ms)
         with self._topo.shared():
-            groups = self._group_by_owner(keys)
-            found: dict[int, bytes] = {}
-            for part in self._fan_out(
-                    [lambda a=a, g=g: fetch(a, g)
-                     for a, g in groups.items()]):
-                found.update(part)
+            found = self._fetch_many(self._group_by_owner(keys),
+                                     self._remaining_ms(expires_at), priority)
             if self._forwards:
                 self._fetch_forwarded(keys, found, expires_at, priority)
             if self.replica is not None:
@@ -932,39 +1069,28 @@ class LiveClusterClient:
         re-read at the (current) owner in case the copy landed between
         the two reads.
         """
-        by_src: dict[int, tuple[LiveCacheClient, list[int]]] = {}
+        by_src: dict[LiveCacheClient, list[int]] = {}
         for key in keys:
             if key in found:
                 continue
             src = self._forward_source(key)
             if src is not None:
-                by_src.setdefault(id(src), (src, []))[1].append(key)
-        recheck: list[int] = []
-        for src, group in by_src.values():
-            try:
-                found.update(src.multi_get(
-                    group, deadline_ms=self._remaining_ms(expires_at),
-                    priority=priority))
-            except (ProtocolError, OSError):
-                self.batch_shard_failures += 1
-            recheck.extend(k for k in group if k not in found)
-        for addr, group in self._group_by_owner(recheck).items():
-            client = self.clients.get(addr)
-            if client is None:
-                continue
-            try:
-                found.update(client.multi_get(
-                    group, deadline_ms=self._remaining_ms(expires_at),
-                    priority=priority))
-            except (ProtocolError, OSError):
-                self.batch_shard_failures += 1
+                by_src.setdefault(src, []).append(key)
+        found.update(self._fetch_many(by_src, self._remaining_ms(expires_at),
+                                      priority))
+        recheck = [k for group in by_src.values() for k in group
+                   if k not in found]
+        found.update(self._fetch_many(self._group_by_owner(recheck),
+                                      self._remaining_ms(expires_at),
+                                      priority))
 
     def put_many(self, items, deadline_ms: float | None = None,
                  priority: str | None = None,
                  on_error: str = "degrade") -> int:
-        """Scatter-gather store: one ``multi_put`` per owning server, in
-        parallel, sharing one deadline budget.  Returns the number of
-        records actually stored (ring accounting covers exactly those).
+        """Scatter-gather store: one ``multi_put`` per owning server, all
+        sent before any is drained, sharing one deadline budget.
+        Returns the number of records actually stored (ring accounting
+        covers exactly those).
 
         ``on_error="degrade"`` (default) treats a failed shard as
         dropped writes for its keys — the cache holds derived bytes, so
@@ -972,88 +1098,58 @@ class LiveClusterClient:
         use ``on_error="raise"``: the first shard error propagates after
         accounting, so no copy-then-delete sequence can commit against
         unacknowledged writes.
+
+        With buddy replication the primary fan-out runs under the
+        batch's key locks, then a replica fan-out for the keys the
+        primaries acked.  Only keys whose *replica also* landed count
+        toward the returned total — a batch with failed replica legs
+        reads as partially applied, which conservative consumers (the
+        consistency harness) treat as "unknown whether applied", never
+        as refused.
         """
         items = list(items)
         if not items:
             return 0
-        expires_at = (time.monotonic() + deadline_ms / 1000.0
-                      if deadline_ms is not None else None)
-
-        def store(addr, group):
-            client = self.clients.get(addr)
-            if client is None:
-                return group, MultiPutResult(
-                    error=ProtocolError(f"shard {addr} not in cluster"))
-            return group, client.multi_put(
-                group, deadline_ms=self._remaining_ms(expires_at),
-                priority=priority)
-
-        first_error: ProtocolError | None = None
+        expires_at = _expiry(deadline_ms)
         with self._topo.shared():
-            if self.replica is not None:
-                stored_total, first_error = self._put_many_replicated(
-                    items, expires_at, priority)
+            if self.replica is None:
+                stored, first_error = self._put_primaries(items, expires_at,
+                                                          priority)
+                stored_total = len(stored)
             else:
-                stored_total = 0
-                groups = self._group_by_owner(items)
-                for group, result in self._fan_out(
-                        [lambda a=a, g=g: store(a, g)
-                         for a, g in groups.items()]):
-                    values = dict(group)
-                    for key in result.stored:
-                        self._account_insert(key, len(values[key]),
-                                             result.freed.get(key, 0))
-                        stored_total += 1
-                    if result.error is not None:
-                        self.batch_shard_failures += 1
-                        if first_error is None:
-                            first_error = result.error
+                values = dict(items)
+                with self.replica.key_locks(list(values)):
+                    stored, first_error = self._put_primaries(
+                        items, expires_at, priority)
+                    replicated = self.replica.replicate_many(
+                        [(k, values[k]) for k in stored],
+                        deadline_ms=self._remaining_ms(expires_at),
+                        priority=priority)
+                stored_total = len(set(stored) & set(replicated))
         if first_error is not None and on_error == "raise":
             raise first_error
         return stored_total
 
-    def _put_many_replicated(self, items, expires_at, priority
-                             ) -> tuple[int, ProtocolError | None]:
-        """:meth:`put_many` body with buddy replication.
-
-        Under the batch's key locks: primary fan-out as usual, then a
-        replica fan-out for the keys the primaries acked.  Only keys
-        whose *replica also* landed count toward the returned total —
-        a batch with failed replica legs reads as partially applied,
-        which conservative consumers (the consistency harness) treat as
-        "unknown whether applied", never as refused.
-        """
+    def _put_primaries(self, items, expires_at, priority
+                       ) -> tuple[list[int], ProtocolError | None]:
+        """:meth:`put_many`'s primary leg: one fan-out over the owners.
+        Accounts every stored record on the ring; returns the stored
+        keys and the first shard error (each failed shard counted)."""
+        stored: list[int] = []
         first_error: ProtocolError | None = None
-        values = dict(items)
-        with self.replica.key_locks(list(values)):
-            primary_stored: list[int] = []
-            groups = self._group_by_owner(items)
-
-            def store(addr, group):
-                client = self.clients.get(addr)
-                if client is None:
-                    return group, MultiPutResult(
-                        error=ProtocolError(f"shard {addr} not in cluster"))
-                return group, client.multi_put(
-                    group, deadline_ms=self._remaining_ms(expires_at),
-                    priority=priority)
-
-            for group, result in self._fan_out(
-                    [lambda a=a, g=g: store(a, g)
-                     for a, g in groups.items()]):
-                for key in result.stored:
-                    self._account_insert(key, len(values[key]),
-                                         result.freed.get(key, 0))
-                    primary_stored.append(key)
-                if result.error is not None:
-                    self.batch_shard_failures += 1
-                    if first_error is None:
-                        first_error = result.error
-            replicated = self.replica.replicate_many(
-                [(k, values[k]) for k in primary_stored],
-                deadline_ms=self._remaining_ms(expires_at),
-                priority=priority)
-        return len(set(primary_stored) & set(replicated)), first_error
+        for group, result in self._put_groups(
+                self._group_by_owner(items), self._remaining_ms(expires_at),
+                priority):
+            values = dict(group)
+            for key in result.stored:
+                self._account_insert(key, len(values[key]),
+                                     result.freed.get(key, 0))
+            stored += result.stored
+            if result.error is not None:
+                self._note_shard_failure()
+                if first_error is None:
+                    first_error = result.error
+        return stored, first_error
 
     # -------------------------------------------------------------- growth
 

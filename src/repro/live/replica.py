@@ -150,7 +150,7 @@ class ReplicaManager:
 
     @contextmanager
     def key_locks(self, keys):
-        """Batch form: the stripes of ``keys``, in index order (a global
+        """Batch form: the pool locks of ``keys``, in index order (a global
         acquisition order, so batches cannot deadlock each other)."""
         indices = sorted({hash(k) % self.LOCK_STRIPES for k in keys})
         for i in indices:
@@ -232,17 +232,20 @@ class ReplicaManager:
                        deadline_ms: float | None = None,
                        priority: str | None = None) -> list[int]:
         """Mirror a batch of acked primary writes (caller holds the
-        batch's key locks).  Returns the keys whose replica landed; a
-        failed group's keys are simply not listed — the cluster demotes
-        them from its acked count, so the caller sees the batch as
-        partially applied (conservative, never falsely refused)."""
+        batch's key locks), one fan-out over the buddies.  Returns the
+        keys whose replica landed; a failed group's keys are simply not
+        listed — the cluster demotes them from its acked count, so the
+        caller sees the batch as partially applied (conservative, never
+        falsely refused)."""
         ring = self.cluster.ring
-        groups: dict[int, tuple["LiveCacheClient", bool, list]] = {}
+        groups: dict["LiveCacheClient", list] = {}
+        hinted: set[int] = set()
         ok: list[int] = []
         for key, value in items:
             client = self._span_for(ring.hash_key(key))
-            hinted = client is not None
-            if client is None:
+            if client is not None:
+                hinted.add(key)
+            else:
                 addr = self.buddy_address(key)
                 if addr is None:
                     ok.append(key)  # nowhere to mirror ≡ mirrored
@@ -252,18 +255,17 @@ class ReplicaManager:
                     with self._stats:
                         self.replica_write_failures += 1
                     continue
-            groups.setdefault(id(client), (client, hinted, []))[2].append(
-                (key, value))
-        for client, hinted, group in groups.values():
-            result = client.multi_put(group, deadline_ms=deadline_ms,
-                                      priority=priority, replica=True)
+            groups.setdefault(client, []).append((key, value))
+        for _, result in self.cluster._put_groups(groups, deadline_ms,
+                                                  priority, replica=True):
             ok.extend(result.stored)
             with self._stats:
                 self.replica_writes += len(result.stored)
                 if result.error is not None:
                     self.replica_write_failures += 1
                 if hinted:
-                    self.handoff_hints += len(result.stored)
+                    self.handoff_hints += sum(1 for k in result.stored
+                                              if k in hinted)
                     self.handoff_peak = max(self.handoff_peak,
                                             self.handoff_hints)
         return ok
@@ -308,28 +310,24 @@ class ReplicaManager:
                            deadline_ms: float | None = None,
                            priority: str | None = None) -> None:
         """Batch read path: resolve residual misses through claimed
-        buddies.  A failed buddy branch degrades to misses for its keys
-        (counted on the cluster's ``batch_shard_failures``, so batch
-        consumers know the misses are unproven)."""
+        buddies, one fan-out over them.  A failed buddy degrades to
+        misses for its keys (counted on the cluster's
+        ``batch_shard_failures``, so batch consumers know the misses are
+        unproven)."""
         ring = self.cluster.ring
-        by_src: dict[int, tuple["LiveCacheClient", list[int]]] = {}
+        by_src: dict["LiveCacheClient", list[int]] = {}
         for key in keys:
             if key in found:
                 continue
             client = self._span_for(ring.hash_key(key))
             if client is not None:
-                by_src.setdefault(id(client), (client, []))[1].append(key)
-        for client, group in by_src.values():
-            try:
-                part = client.multi_get(group, deadline_ms=deadline_ms,
-                                        priority=priority, replica=True)
-            except (ProtocolError, OSError):
-                self.cluster.batch_shard_failures += 1
-                continue
-            found.update(part)
-            if part:
-                with self._stats:
-                    self.replica_hits += len(part)
+                by_src.setdefault(client, []).append(key)
+        part = self.cluster._fetch_many(by_src, deadline_ms, priority,
+                                        replica=True)
+        found.update(part)
+        if part:
+            with self._stats:
+                self.replica_hits += len(part)
 
     def degraded_read(self, key: int,
                       deadline_ms: float | None = None) -> bytes | None:

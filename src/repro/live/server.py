@@ -7,14 +7,13 @@ Cloud instance" — here it is a Python object you start on a port).
 
 Concurrency and overload
 ------------------------
-A ``ThreadingTCPServer`` accepts many clients; store access is guarded
-by **striped locks**: keys hash onto ``stripes`` independent sub-trees,
-each with its own lock, so concurrent workers on disjoint stripes stop
-serializing and a multi-key op acquires each stripe once per batch
-instead of once per key.  Range ops (sweep/extract family) snapshot
-stripe by stripe *under* the stripe locks but stream the records onto
-the socket *after* releasing them — a slow migration reader can no
-longer stall every user-facing op on the node.  Connection threads are
+A ``ThreadingTCPServer`` accepts many clients.  Each namespace is one
+:class:`_Store` under one lock: a ``dict`` point index serves get, put,
+delete and the multi-ops (a batch takes the lock once), and a B+-tree
+over the same keys is the ordered index the range ops sweep.  Range ops
+(sweep/extract family) snapshot *under* the lock but stream the records
+onto the socket *after* releasing it — a slow migration reader cannot
+stall the user-facing ops on the node.  Connection threads are
 cheap (they block on ``recv``), but *work* is not: every op (a batch
 counts once) passes an :class:`AdmissionGate`
 that bounds concurrent execution (``max_workers``) and the number of ops
@@ -55,7 +54,7 @@ import time
 from typing import Callable
 
 from repro.btree.bplustree import BPlusTree
-from repro.btree.sweep import collect_range
+from repro.btree.sweep import sweep_range
 from repro.live.migration import TransferLedger
 from repro.live.protocol import (
     BACKGROUND, DEADLINE, DELETE, EXTRACT_ABORT, EXTRACT_COMMIT,
@@ -165,102 +164,43 @@ class AdmissionGate:
             }
 
 
-class _Stripe:
-    """One lock-striped slice of the store: a sub-tree plus its lock."""
-
-    __slots__ = ("tree", "lock", "hits", "misses", "contended")
-
-    def __init__(self, order: int) -> None:
-        self.tree = BPlusTree(order=order)
-        self.lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        #: acquisitions that found the lock held (the contention signal
-        #: an operator uses to size ``stripes``).
-        self.contended = 0
-
-    def acquire(self) -> None:
-        if not self.lock.acquire(blocking=False):
-            self.contended += 1
-            self.lock.acquire()
-
-    def release(self) -> None:
-        self.lock.release()
-
-
-class _TreeView:
-    """Read-only ``len``/``search`` view over the striped sub-trees.
-
-    Kept so diagnostics (and tests) that peek at ``server.store.tree``
-    keep working now that the store is striped into many trees.
-    """
-
-    def __init__(self, store: "_Store") -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return sum(len(s.tree) for s in self._store.stripes)
-
-    def search(self, key: int):
-        stripe = self._store.stripe_for(key)
-        with stripe.lock:
-            return stripe.tree.search(key)
-
-
 class _Store:
-    """The node-local state: striped trees + byte accounting.
+    """One namespace's records: a point index, an ordered index, one lock.
 
-    Keys hash onto ``stripes`` independent B+-trees, each guarded by its
-    own lock — ops on disjoint stripes run concurrently, and a batched
-    op visits each stripe once.  Byte accounting (the capacity check)
-    stays global under a short-lived ``_acct`` lock so overflow remains
-    an atomic node-wide decision.
+    ``index`` maps key → value and serves every point and batch op with
+    one dict probe.  ``tree`` is a B+-tree over the same keys (values
+    live only in ``index``), kept for the range ops: ``sweep`` and
+    ``extract_prepare`` walk its linked leaves exactly as Algorithm 2's
+    sweep does.  An overwrite touches only the dict; a new key or a
+    delete updates both.  One lock guards the pair and the byte
+    accounting, so overflow is an atomic node-wide decision.
     """
 
     def __init__(self, capacity_bytes: int, order: int,
-                 lease_s: float, stripes: int = 8) -> None:
-        if stripes < 1:
-            raise ValueError("stripes must be >= 1")
-        self.stripes = [_Stripe(order) for _ in range(stripes)]
+                 lease_s: float) -> None:
+        self.index: dict[int, bytes] = {}
+        self.tree = BPlusTree(order=order)
+        self.lock = threading.Lock()
         self.capacity_bytes = capacity_bytes
         self.used_bytes = 0
-        self._acct = threading.Lock()
         self.transfers = TransferLedger(lease_s=lease_s)
+        self.hits = 0
+        self.misses = 0
+        #: acquisitions that found the lock held, reported as
+        #: ``stripe_contention`` (the key benchmarks and metrics read).
+        self.contended = 0
         # batch-shape counters (reported by the ``stats`` op)
         self.multi_ops = 0
         self.batched_keys = 0
         self.max_batch = 0
 
-    @property
-    def tree(self) -> _TreeView:
-        """Aggregate view over the stripes (diagnostics/tests)."""
-        return _TreeView(self)
-
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self.stripes)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self.stripes)
-
-    @property
-    def stripe_contention(self) -> int:
-        return sum(s.contended for s in self.stripes)
-
-    def stripe_for(self, key: int) -> _Stripe:
-        return self.stripes[hash(key) % len(self.stripes)]
-
-    def _group(self, keys) -> dict[_Stripe, list]:
-        """Group batch entries by stripe, preserving in-stripe order."""
-        groups: dict[_Stripe, list] = {}
-        for entry in keys:
-            key = entry[0] if isinstance(entry, tuple) else entry
-            groups.setdefault(self.stripe_for(key), []).append(entry)
-        return groups
+    def _acquire(self) -> None:
+        if not self.lock.acquire(blocking=False):
+            self.contended += 1
+            self.lock.acquire()
 
     def note_batch(self, n: int) -> None:
-        with self._acct:
+        with self.lock:
             self.multi_ops += 1
             self.batched_keys += n
             self.max_batch = max(self.max_batch, n)
@@ -268,17 +208,16 @@ class _Store:
     # ------------------------------------------------------- point ops
 
     def get(self, key: int) -> bytes | None:
-        stripe = self.stripe_for(key)
-        stripe.acquire()
+        self._acquire()
         try:
-            value = stripe.tree.search(key)
+            value = self.index.get(key)
             if value is None:
-                stripe.misses += 1
+                self.misses += 1
             else:
-                stripe.hits += 1
+                self.hits += 1
             return value
         finally:
-            stripe.release()
+            self.lock.release()
 
     def put(self, key: int, value: bytes,
             if_absent: bool = False) -> tuple[bool, int, bool]:
@@ -288,59 +227,62 @@ class _Store:
         ``if_absent`` an already-present key is left untouched and
         reported ``skipped`` — the conditional write migrations use so a
         stale snapshot copy can never clobber a newer concurrent put."""
-        stripe = self.stripe_for(key)
-        stripe.acquire()
+        self._acquire()
         try:
-            if if_absent and stripe.tree.search(key) is not None:
+            if if_absent and key in self.index:
                 return True, 0, True
-            ok, n = self.put_locked(stripe, key, value)
+            ok, n = self._put_locked(key, value)
             return ok, n, False
         finally:
-            stripe.release()
+            self.lock.release()
+
+    def _put_locked(self, key: int, value: bytes) -> tuple[bool, int]:
+        old = self.index.get(key)
+        freed = len(old) if old is not None else 0
+        if self.used_bytes - freed + len(value) > self.capacity_bytes:
+            return False, self.capacity_bytes - self.used_bytes + freed
+        self.used_bytes += len(value) - freed
+        if old is None:
+            self.tree.insert(key, None)
+        self.index[key] = value
+        return True, freed
 
     def delete(self, key: int) -> int:
         """Delete ``key`` if cached; returns bytes freed."""
-        stripe = self.stripe_for(key)
-        stripe.acquire()
+        self._acquire()
         try:
-            return self._delete_locked(stripe, key)
+            return self._delete_locked(key)
         finally:
-            stripe.release()
+            self.lock.release()
 
-    def _delete_locked(self, stripe: _Stripe, key: int) -> int:
-        try:
-            value = stripe.tree.delete(key)
-        except KeyError:
+    def _delete_locked(self, key: int) -> int:
+        value = self.index.pop(key, None)
+        if value is None:
             return 0
-        with self._acct:
-            self.used_bytes -= len(value)
+        self.tree.delete(key)
+        self.used_bytes -= len(value)
         return len(value)
 
     # ------------------------------------------------------- batch ops
 
-    def multi_get(self, keys: list[int]) -> dict[int, bytes]:
-        """Batched lookup: each stripe's lock is taken once for all of
-        the batch's keys on it.  Returns only the found keys."""
-        found: dict[int, bytes] = {}
-        for stripe, group in self._group(keys).items():
-            stripe.acquire()
-            try:
-                for key in group:
-                    value = stripe.tree.search(key)
-                    if value is None:
-                        stripe.misses += 1
-                    else:
-                        stripe.hits += 1
-                        found[key] = value
-            finally:
-                stripe.release()
-        return found
+    def multi_get(self, keys: list[int]) -> list[bytes | None]:
+        """Batched lookup under one lock acquisition: each key's value,
+        or ``None``, in ``keys`` order (the reply's order)."""
+        self._acquire()
+        try:
+            values = list(map(self.index.get, keys))
+            found = len(values) - values.count(None)
+            self.hits += found
+            self.misses += len(values) - found
+            return values
+        finally:
+            self.lock.release()
 
     def multi_put(self, records: list[tuple[int, bytes]],
                   expired: "Callable[[], bool] | None" = None,
                   if_absent: bool = False
                   ) -> tuple[list[int], dict[int, int], list[int], str | None]:
-        """Batched store, one stripe-lock acquisition per stripe.
+        """Batched store under one lock acquisition.
 
         Returns ``(stored_keys, freed_by_key, skipped_keys, error)``
         where ``error`` is ``None``, ``"overflow"`` or
@@ -354,99 +296,54 @@ class _Store:
         stored: list[int] = []
         freed_by_key: dict[int, int] = {}
         skipped: list[int] = []
-        for stripe, group in self._group(records).items():
-            if expired is not None and expired():
-                return stored, freed_by_key, skipped, "deadline_exceeded"
-            stripe.acquire()
-            try:
-                for key, value in group:
-                    if if_absent and stripe.tree.search(key) is not None:
-                        skipped.append(key)
-                        continue
-                    ok, n = self.put_locked(stripe, key, value)
-                    if not ok:
-                        return stored, freed_by_key, skipped, "overflow"
-                    stored.append(key)
-                    if n:
-                        freed_by_key[key] = n
-            finally:
-                stripe.release()
+        if expired is not None and expired():
+            return stored, freed_by_key, skipped, "deadline_exceeded"
+        self._acquire()
+        try:
+            for key, value in records:
+                if if_absent and key in self.index:
+                    skipped.append(key)
+                    continue
+                ok, n = self._put_locked(key, value)
+                if not ok:
+                    return stored, freed_by_key, skipped, "overflow"
+                stored.append(key)
+                if n:
+                    freed_by_key[key] = n
+        finally:
+            self.lock.release()
         return stored, freed_by_key, skipped, None
-
-    def put_locked(self, stripe: _Stripe, key: int,
-                   value: bytes) -> tuple[bool, int]:
-        """:meth:`put` body for a caller already holding the stripe."""
-        old = stripe.tree.search(key)
-        freed = len(old) if old is not None else 0
-        with self._acct:
-            if self.used_bytes - freed + len(value) > self.capacity_bytes:
-                return False, self.capacity_bytes - self.used_bytes + freed
-            self.used_bytes += len(value) - freed
-        stripe.tree.insert(key, value)
-        return True, freed
 
     def delete_keys(self, keys: list[int]) -> int:
         """Batched delete (extract commits); returns records removed."""
-        removed = 0
-        for stripe, group in self._group(keys).items():
-            stripe.acquire()
-            try:
-                for key in group:
-                    if self._delete_locked(stripe, key):
-                        removed += 1
-            finally:
-                stripe.release()
-        return removed
+        self._acquire()
+        try:
+            return sum(1 for key in keys if self._delete_locked(key))
+        finally:
+            self.lock.release()
 
     # ------------------------------------------------------- range ops
 
     def snapshot_range(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
-        """Collect every record in ``[lo, hi]``.
-
-        Each stripe is visited under its own lock; the merged, key-sorted
-        snapshot is returned for the caller to stream *outside* any lock,
-        so a slow reader never stalls other ops.  The per-stripe (rather
-        than whole-store) critical section means a concurrent put may or
-        may not make the snapshot — fine for migrations, where the ring
-        has already routed new writes away or commit only deletes
-        snapshotted keys.
-        """
-        records: list[tuple[int, bytes]] = []
-        for stripe in self.stripes:
-            stripe.acquire()
-            try:
-                records.extend(collect_range(stripe.tree, lo, hi))
-            finally:
-                stripe.release()
-        records.sort(key=lambda kv: kv[0])
-        return records
-
-    def records_resident(self) -> int:
-        return sum(len(s.tree) for s in self.stripes)
+        """Every record in ``[lo, hi]``, key-sorted: a leaf sweep of the
+        ordered index under the lock.  The caller streams the snapshot
+        *outside* the lock, so a slow reader never stalls other ops."""
+        self._acquire()
+        try:
+            index = self.index
+            return [(key, index[key])
+                    for key, _ in sweep_range(self.tree, lo, hi)]
+        finally:
+            self.lock.release()
 
     def counters_snapshot(self) -> dict:
-        """Stats counters read *under* the stripe locks.
-
-        The lock-free ``hits``/``misses``/``stripe_contention``
-        properties can interleave with concurrent ops and tear across
-        stripes (hits from before an op, misses from after it); the
-        ``stats`` wire op uses this snapshot instead so each stripe's
-        counter triple is internally consistent and byte accounting is
-        read under ``_acct``.
-        """
-        hits = misses = contended = records = 0
-        for stripe in self.stripes:
-            with stripe.lock:
-                hits += stripe.hits
-                misses += stripe.misses
-                contended += stripe.contended
-                records += len(stripe.tree)
-        with self._acct:
+        """Stats counters, read together under the lock."""
+        with self.lock:
             return {
-                "hits": hits,
-                "misses": misses,
-                "stripe_contention": contended,
-                "records": records,
+                "hits": self.hits,
+                "misses": self.misses,
+                "stripe_contention": self.contended,
+                "records": len(self.index),
                 "used_bytes": self.used_bytes,
                 "multi_ops": self.multi_ops,
                 "batched_keys": self.batched_keys,
@@ -595,8 +492,7 @@ class _Handler(socketserver.BaseRequestHandler):
             freed = store.delete(key)
             send_frame(sock, Frame(OK, FOUND if freed else 0, n=freed))
         elif op == MULTI_GET:
-            found = store.multi_get(batch)
-            self._send_records([], [(k, found.get(k)) for k in batch])
+            self._send_records([], list(zip(batch, store.multi_get(batch))))
         elif op == MULTI_PUT:
             stored, freed_by_key, skipped, error = store.multi_put(
                 batch, expired=lambda: self._expired(expires_at),
@@ -614,7 +510,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 raise ValueError(f"{len(body)} B range body, "
                                  f"want {RANGE.size} B")
             hi, lease_ms = RANGE.unpack(body)
-            # Snapshot under the stripe locks, stream after release — a
+            # Snapshot under the store lock, stream after release — a
             # slow reader must not stall the node.
             records = store.snapshot_range(key, hi)
             token = b""
@@ -644,7 +540,6 @@ class _Handler(socketserver.BaseRequestHandler):
                 "transfers_pending": store.transfers.pending,
                 "transfers_committed": store.transfers.committed,
                 "transfers_expired": store.transfers.expired,
-                "stripes": len(store.stripes),
             }
             reply.update(store.counters_snapshot())
             reply.update(gate.snapshot())
@@ -690,12 +585,6 @@ class LiveCacheServer:
     ----------
     capacity_bytes, order:
         Store size and B+-tree fan-out.
-    stripes:
-        Lock stripes (independent sub-trees) the keyspace hashes onto.
-        More stripes → less lock contention between concurrent workers
-        and fewer acquisitions per batched op, at the cost of a wider
-        merge for range snapshots.  ``1`` reproduces the old single
-        global-lock behaviour.
     max_workers, max_queue:
         Admission gate: concurrent ops and bounded wait queue (see
         :class:`AdmissionGate`).  The defaults are generous enough that
@@ -729,13 +618,11 @@ class LiveCacheServer:
                  idle_timeout_s: float | None = 60.0,
                  lease_s: float = 30.0,
                  op_delay_s: float = 0.0,
-                 stripes: int = 8,
                  replica_headroom: float = 1.0) -> None:
-        self.store = _Store(capacity_bytes, order, lease_s=lease_s,
-                            stripes=stripes)
+        self.store = _Store(capacity_bytes, order, lease_s=lease_s)
         self.replica_store = _Store(
             max(1, int(capacity_bytes * replica_headroom)), order,
-            lease_s=lease_s, stripes=stripes)
+            lease_s=lease_s)
         self.gate = AdmissionGate(max_workers=max_workers,
                                   max_queue=max_queue)
         self._server = _TCPServer((host, port), _Handler)

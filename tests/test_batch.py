@@ -2,11 +2,13 @@
 
 Covers the multi-key wire ops (``multi_get``/``multi_put``), the
 client-side pipelining and suffix-retry rules, the scatter-gather
-cluster fan-out (per-shard degradation, shared deadline budget), lock
-striping, and the interplay with the overload layer (shed, deadlines,
-mid-batch connection kill).
+cluster fan-out (per-shard degradation, shared deadline budget, one
+thread, no lock-order deadlock), the one-lock indexed store, and the
+interplay with the overload layer (shed, deadlines, mid-batch
+connection kill).
 """
 
+import sys
 import threading
 import time
 
@@ -84,7 +86,7 @@ class TestMultiOpsSingleServer:
         assert got == {100: b"single", 3: b"m"}
 
     def test_multi_put_overflow_reports_acked_prefix(self):
-        server = LiveCacheServer(capacity_bytes=30, stripes=1).start()
+        server = LiveCacheServer(capacity_bytes=30).start()
         try:
             with LiveCacheClient(server.address) as c:
                 result = c.multi_put([(k, b"0123456789") for k in range(5)])
@@ -104,14 +106,20 @@ class TestMultiOpsSingleServer:
         assert stats["multi_ops"] == 2
         assert stats["batched_keys"] == 48
         assert stats["max_batch"] == 32
-        assert stats["stripes"] == 8
 
 
 class TestStriping:
-    @pytest.mark.parametrize("stripes", [1, 3, 8])
-    def test_semantics_identical_across_stripe_counts(self, stripes):
+    """The store that replaced lock striping — one dict point index plus
+    one B+-tree ordered index per namespace, under one lock — keeps the
+    striped store's contract: the same answers, sorted range ops, and
+    no lost writes under concurrent batches."""
+
+    @pytest.mark.parametrize("order", [3, 8, 64])
+    def test_semantics_identical_across_tree_orders(self, order):
+        """Deep trees (order 3 splits and merges constantly) and flat
+        ones keep the point index and the ordered index in step."""
         server = LiveCacheServer(capacity_bytes=1 << 20,
-                                 stripes=stripes).start()
+                                 order=order).start()
         try:
             with LiveCacheClient(server.address) as c:
                 c.multi_put([(k, f"{k}".encode()) for k in range(50)])
@@ -137,7 +145,7 @@ class TestStriping:
         assert client.get(80) is not None
 
     def test_concurrent_disjoint_writers(self, server):
-        """Writers on different keys never corrupt the striped store."""
+        """Writers on different keys never corrupt the shared store."""
         errors = []
 
         def worker(base):
@@ -248,8 +256,8 @@ class TestBatchedOverloadInterplay:
             server.stop()
 
     def test_server_side_deadline_mid_batch_reports_partial(self):
-        """The server checks the budget between stripe groups; a batch
-        that expires mid-apply answers with its acked prefix."""
+        """The server checks the budget before it applies a batch; a
+        batch that expires answers with its acked prefix."""
         server = LiveCacheServer(capacity_bytes=1 << 22,
                                  op_delay_s=0.15).start()
         try:
@@ -348,17 +356,161 @@ class TestClusterFanOut:
         assert len(got) == len(keys)
 
 
+class TestSingleThreadFanOut:
+    """The cluster fan-out sends to every shard, then drains each in
+    turn, all on the calling thread."""
+
+    @staticmethod
+    def _cluster(retry=None, **server_kw):
+        servers = [LiveCacheServer(capacity_bytes=1 << 22,
+                                   **server_kw).start() for _ in range(3)]
+        client = LiveClusterClient(
+            [s.address for s in servers], ring_range=1 << 16,
+            retry=retry or RetryPolicy(max_attempts=2, deadline_s=1.0),
+            timeout=2.0)
+        return client, servers
+
+    @staticmethod
+    def _close(client, servers):
+        client.close()
+        for s in servers:
+            s.stop()
+
+    def test_shards_overlap_without_new_threads(self, monkeypatch):
+        """With 0.2 s of service time per op, a batch over three shards
+        costs one service time, not three — and starts no thread."""
+        client, servers = self._cluster(op_delay_s=0.2)
+        try:
+            keys = list(range(0, 60000, 600))
+            assert len(client._group_by_owner(keys)) == 3
+            for c in client.clients.values():
+                c.ping()  # every server's session thread is up
+            started = []
+            real_start = threading.Thread.start
+
+            def spy(thread):
+                started.append(thread.name)
+                real_start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", spy)
+            t0 = time.perf_counter()
+            assert client.put_many([(k, b"p") for k in keys]) == len(keys)
+            put_s = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            got = client.get_many(keys)
+            get_s = time.perf_counter() - t0
+            assert got == {k: b"p" for k in keys}
+            assert put_s < 0.45 and get_s < 0.45, (put_s, get_s)
+            assert started == []
+        finally:
+            self._close(client, servers)
+
+    @pytest.mark.timeout(60)
+    def test_shared_client_threads_do_not_deadlock(self):
+        """Four threads mix batched and single ops over every shard of
+        one client; each reads back exactly its own bytes."""
+        client, servers = self._cluster()
+        errors: list = []
+
+        def worker(t):
+            try:
+                keys = list(range(t, 60000, 4 * 151))
+                for i in range(15):
+                    items = [(k, f"{t}:{i}:{k}".encode()) for k in keys]
+                    assert client.put_many(items) == len(items)
+                    assert client.get_many(keys) == dict(items)
+                    k = keys[i % len(keys)]
+                    client.put(k, f"single {i}".encode())
+                    assert client.get(k) == f"single {i}".encode()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,), daemon=True)
+                   for t in range(4)]
+        for t in threads:
+            t.start()
+        give_up = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, give_up - time.monotonic()))
+        if any(t.is_alive() for t in threads):
+            # Deadlocked threads hold connection locks close() needs.
+            for s in servers:
+                s.stop()
+            pytest.fail("fan-outs deadlocked on connection locks")
+        self._close(client, servers)
+        assert errors == []
+        assert client.batch_shard_failures == 0
+
+    @pytest.mark.timeout(60)
+    def test_shard_failure_count_is_exact_under_threads(self):
+        """Every degraded shard branch is counted once, however many
+        threads fan out at once (a lost ``+=`` would undercount)."""
+        client, servers = self._cluster(retry=RetryPolicy.none())
+        keys = list(range(0, 60000, 600))
+        servers[1].stop()  # one shard of every batch now fails
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [client.get_many(keys) for _ in range(25)],
+                daemon=True) for _ in range(4)]
+            for t in threads:
+                t.start()
+            give_up = time.monotonic() + 30
+            for t in threads:
+                t.join(timeout=max(0.0, give_up - time.monotonic()))
+            assert not any(t.is_alive() for t in threads)
+            assert client.batch_shard_failures == 4 * 25
+        finally:
+            sys.setswitchinterval(saved)
+            self._close(client, servers)
+
+    @pytest.mark.parametrize("retried", [True, False])
+    def test_connection_dies_between_send_and_drain(self, monkeypatch,
+                                                    retried):
+        """The victim shard alone is retried (resent on a fresh
+        connection) or, without retries, degraded to misses; every
+        other shard's keys come back either way."""
+        client, servers = self._cluster(
+            retry=None if retried else RetryPolicy.none())
+        try:
+            keys = list(range(0, 60000, 300))
+            client.put_many([(k, f"{k}".encode()) for k in keys])
+            victim = client.clients[servers[1].address]
+            send = victim.send_multi_get
+
+            def send_then_die(*args, **kwargs):
+                drain = send(*args, **kwargs)
+                victim._sock.close()  # request out, reply unreadable
+                return drain
+
+            monkeypatch.setattr(victim, "send_multi_get", send_then_die)
+            got = client.get_many(keys)
+            lost = {k for k in keys
+                    if client.address_for(k) == servers[1].address}
+            assert lost
+            if retried:
+                assert got == {k: f"{k}".encode() for k in keys}
+                assert victim.retries == 1
+                assert client.batch_shard_failures == 0
+            else:
+                assert got == {k: f"{k}".encode() for k in keys
+                               if k not in lost}
+                assert client.batch_shard_failures == 1
+        finally:
+            self._close(client, servers)
+
+
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(keys=st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1),
                      min_size=1, max_size=60, unique=True),
-       stripes=st.integers(min_value=1, max_value=9),
        batch=st.integers(min_value=1, max_value=MAX_BATCH))
-def test_property_batched_equals_per_key(keys, stripes, batch):
+def test_property_batched_equals_per_key(keys, batch):
     """``put_many`` then ``get_many`` over a random key set equals
-    per-key put/get, for random stripe counts and wire batch sizes."""
-    servers = [LiveCacheServer(capacity_bytes=1 << 22,
-                               stripes=stripes).start() for _ in range(2)]
+    per-key put/get, for random wire batch sizes."""
+    servers = [LiveCacheServer(capacity_bytes=1 << 22).start()
+               for _ in range(2)]
     try:
         batched = LiveClusterClient([s.address for s in servers],
                                     ring_range=1 << 16)
