@@ -61,9 +61,9 @@ def main() -> None:
         loads = {addr: cluster.clients[addr].stats()["records"]
                  for addr in cluster.clients}
         busiest_addr = max(loads, key=loads.get)
-        busiest_bucket = max(cluster.ring.buckets_of(busiest_addr),
-                             key=lambda b: cluster.ring.bucket_records[b])
-        lo, hi = cluster.ring.interval_segments(busiest_bucket)[-1]
+        lo, hi = max((seg for b in cluster.ring.buckets_of(busiest_addr)
+                      for seg in cluster.ring.interval_segments(b)),
+                     key=lambda s: s[1] - s[0])
         moved = cluster.add_server(new_server.address, (lo + hi) // 2)
         print(f"  migrated {moved} records to "
               f"{new_server.address[0]}:{new_server.address[1]}")

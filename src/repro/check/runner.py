@@ -166,15 +166,21 @@ class _Fleet:
 
 
 def _split_bucket(cluster: LiveClusterClient) -> int | None:
-    """Where to put the new bucket: the midpoint of the most loaded
-    bucket's widest segment (GBA in spirit — relieve the hottest
-    interval), falling back to the widest interval when all are cold."""
+    """Where to put the new bucket: the midpoint of the fullest server's
+    widest segment (GBA in spirit — relieve the node holding the most
+    records, as its own ``stats`` reports them), falling back to the
+    widest interval when every server is cold."""
     ring = cluster.ring
-    target = max(ring.buckets,
-                 key=lambda b: (ring.bucket_records.get(b, 0),
-                                max(hi - lo for lo, hi
-                                    in ring.interval_segments(b))))
-    lo, hi = max(ring.interval_segments(target), key=lambda s: s[1] - s[0])
+
+    def widest(addr) -> tuple[int, int]:
+        return max((seg for b in ring.buckets_of(addr)
+                    for seg in ring.interval_segments(b)),
+                   key=lambda s: s[1] - s[0])
+
+    candidates = [(client.stats()["records"], widest(addr))
+                  for addr, client in list(cluster.clients.items())
+                  if ring.buckets_of(addr)]
+    _, (lo, hi) = max(candidates, key=lambda c: (c[0], c[1][1] - c[1][0]))
     mid = lo + (hi - lo) // 2
     if hi - lo < 4 or mid in ring.node_map:
         return None

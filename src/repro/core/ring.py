@@ -226,21 +226,6 @@ class ConsistentHashRing:
             raise RingError(f"bucket {pos} accounting went negative")
         return pos
 
-    def clear_load(self, pos: int) -> tuple[int, int]:
-        """Zero a bucket's accounting, returning ``(bytes, records)`` lost.
-
-        Used by failure repair: when a node dies, the records in its
-        buckets are gone (not migrated), so the accounting is written off
-        rather than transferred — the failure-path counterpart of
-        :meth:`transfer_load`.
-        """
-        if pos not in self.node_map:
-            raise RingError(f"no bucket at {pos}")
-        lost = (self.bucket_bytes[pos], self.bucket_records[pos])
-        self.bucket_bytes[pos] = 0
-        self.bucket_records[pos] = 0
-        return lost
-
     def transfer_load(self, src: int, dst: int, nbytes: int, nrecords: int) -> None:
         """Move accounted load between buckets (used by splits)."""
         for pos in (src, dst):

@@ -94,8 +94,9 @@ def _strict_multi_put(client: "LiveCacheClient",
     prepare→copy→commit needs the raise so a partial copy aborts the
     prepare (source keeps everything) rather than committing loss.
     With ``if_absent`` a record whose key is already present at the
-    destination counts as applied (the resident value is *newer* than
-    the snapshot — exactly what a migration copy must preserve).
+    destination is left alone and lands in ``skipped``, not in an error
+    (the resident value is *newer* than the snapshot — exactly what a
+    migration copy must preserve).
     """
     result = client.multi_put(records, if_absent=if_absent)
     if result.error is not None:
@@ -709,12 +710,6 @@ class LiveClusterClient:
         #: serialises routed ops (shared) against topology edits
         #: (exclusive) — see :class:`_TopologyLock`.
         self._topo = _TopologyLock()
-        #: ring load accounting is shared mutable state; concurrent
-        #: worker threads must not interleave its read-modify-writes.
-        self._acct = threading.Lock()
-        #: deferred accounting deletes, keyed by hkey — see
-        #: :meth:`_debt_delete_locked`.  Guarded by ``_acct``.
-        self._acct_debt: dict[int, list[int]] = {}
         #: in-flight migration forwarding: ``(lo, hi, src_client)``
         #: entries, replaced wholesale under ``_fwd_lock``.  A miss at
         #: the new owner of a key inside a forwarded interval re-reads
@@ -765,71 +760,6 @@ class LiveClusterClient:
     def total_retries(self) -> int:
         """Idempotent-request retries summed over live connections."""
         return sum(c.retries for c in list(self.clients.values()))
-
-    # ------------------------------------------------- accounting helpers
-    #
-    # Ring load accounting is attribution, not ground truth: the server
-    # applies ops in *its* order, while client threads report them to
-    # the ring in *lock-acquisition* order.  Two concurrent puts to one
-    # cold key can therefore account the overwrite's ``freed`` bytes
-    # before the initial insert lands (and a lost-reply retry can blur
-    # ``freed`` entirely) — a strict ``record_delete`` would go
-    # negative and blow up a worker thread mid-op.  Deletes the bucket
-    # cannot yet afford are instead *deferred* as per-key debt and
-    # settled by the next accounting touch of that key, so transient
-    # drift stays transient and nothing ever crashes over a load
-    # estimate.
-
-    def _debt_delete_locked(self, hkey: int, nbytes: int) -> None:
-        """A ``record_delete`` that tolerates out-of-order attribution.
-
-        Caller holds ``_acct``.  Pays immediately when the bucket can
-        afford it (the overwhelmingly common case); otherwise the
-        shortfall waits in ``_acct_debt`` for the racing insert.
-        """
-        owed = self._acct_debt.setdefault(hkey, [0, 0])
-        owed[0] += nbytes
-        owed[1] += 1
-        self._settle_locked(hkey)
-
-    def _settle_locked(self, hkey: int) -> None:
-        """Pay off as much of ``hkey``'s deferred delete as the current
-        bucket balance affords.  Caller holds ``_acct``."""
-        owed = self._acct_debt.get(hkey)
-        if owed is None:
-            return
-        pos = self.ring.bucket_for_hkey(hkey)
-        pay_bytes = min(owed[0], self.ring.bucket_bytes.get(pos, 0))
-        pay_records = min(owed[1], self.ring.bucket_records.get(pos, 0))
-        self.ring.bucket_bytes[pos] -= pay_bytes
-        self.ring.bucket_records[pos] -= pay_records
-        owed[0] -= pay_bytes
-        owed[1] -= pay_records
-        if owed == [0, 0]:
-            del self._acct_debt[hkey]
-
-    def _drop_debts_locked(self, segments) -> None:
-        """Forget deferred deletes for intervals whose accounting was
-        written off or handed away wholesale (failover, contraction) —
-        settling them later would charge the interval's new bucket for
-        records it never held.  Caller holds ``_acct``."""
-        for hkey in list(self._acct_debt):
-            if any(lo <= hkey <= hi for lo, hi in segments):
-                del self._acct_debt[hkey]
-
-    def _account_insert(self, key: int, nbytes: int,
-                        freed: int = 0) -> None:
-        hkey = self.ring.hash_key(key)
-        with self._acct:
-            self.ring.record_insert(hkey, nbytes)
-            if freed:
-                self._debt_delete_locked(hkey, freed)
-            else:
-                self._settle_locked(hkey)
-
-    def _account_delete(self, key: int, nbytes: int) -> None:
-        with self._acct:
-            self._debt_delete_locked(self.ring.hash_key(key), nbytes)
 
     # ---------------------------------------------- migration forwarding
 
@@ -889,7 +819,7 @@ class LiveClusterClient:
 
     def put(self, key: int, value: bytes, deadline_ms: float | None = None,
             priority: str | None = None) -> None:
-        """Routed store (accounting flows through the shared ring).
+        """Routed store at ``key``'s ring owner.
 
         With replication enabled the write is primary-then-buddy under
         the key's replica lock (see
@@ -900,16 +830,12 @@ class LiveClusterClient:
         """
         with self._topo.shared():
             if self.replica is None:
-                freed = self.client_for(key).put(key, value,
-                                                 deadline_ms=deadline_ms,
-                                                 priority=priority)
-                self._account_insert(key, len(value), freed)
+                self.client_for(key).put(key, value, deadline_ms=deadline_ms,
+                                         priority=priority)
                 return
             with self.replica.key_lock(key):
-                freed = self.client_for(key).put(key, value,
-                                                 deadline_ms=deadline_ms,
-                                                 priority=priority)
-                self._account_insert(key, len(value), freed)
+                self.client_for(key).put(key, value, deadline_ms=deadline_ms,
+                                         priority=priority)
                 self.replica.replicate(key, value, deadline_ms=deadline_ms,
                                        priority=priority)
 
@@ -918,9 +844,7 @@ class LiveClusterClient:
         the source cannot resurrect the key, and — with replication —
         the buddy copy, best-effort)."""
         with self._topo.shared():
-            found, freed = self.client_for(key).delete(key)
-            if found:
-                self._account_delete(key, freed)
+            found, _ = self.client_for(key).delete(key)
             src = self._forward_source(key)
             if src is not None:
                 try:
@@ -1018,19 +942,16 @@ class LiveClusterClient:
 
     def _put_groups(self, groups, deadline_ms: float | None,
                     priority: str | None = None, replica: bool = False
-                    ) -> list[tuple[list, MultiPutResult]]:
-        """One fan-out of ``multi_put`` over ``{client: records}``: each
-        server's records paired with its result."""
+                    ) -> list[MultiPutResult]:
+        """One fan-out of ``multi_put`` over ``{client: records}``: one
+        result per server."""
         if not groups:
             return []
         expires_at = _expiry(deadline_ms)
-        pairs = self._lock_order(groups)
-        results = self._fan_out([
+        return self._fan_out([
             lambda c=c, g=g: c.send_multi_put(
                 g, self._remaining_ms(expires_at), priority, replica=replica)
-            for c, g in pairs])
-        return [(group, result)
-                for (_, group), result in zip(pairs, results)]
+            for c, g in self._lock_order(groups)])
 
     def get_many(self, keys, deadline_ms: float | None = None,
                  priority: str | None = None) -> dict[int, bytes]:
@@ -1089,15 +1010,14 @@ class LiveClusterClient:
                  on_error: str = "degrade") -> int:
         """Scatter-gather store: one ``multi_put`` per owning server, all
         sent before any is drained, sharing one deadline budget.
-        Returns the number of records actually stored (ring accounting
-        covers exactly those).
+        Returns the number of records actually stored.
 
         ``on_error="degrade"`` (default) treats a failed shard as
         dropped writes for its keys — the cache holds derived bytes, so
-        the cost is a future miss, never correctness.  Migration paths
-        use ``on_error="raise"``: the first shard error propagates after
-        accounting, so no copy-then-delete sequence can commit against
-        unacknowledged writes.
+        the cost is a future miss, never correctness.  Callers that
+        copy then delete use ``on_error="raise"``: the first shard error
+        propagates once every shard is drained, so no copy-then-delete
+        sequence can commit against unacknowledged writes.
 
         With buddy replication the primary fan-out runs under the
         batch's key locks, then a replica fan-out for the keys the
@@ -1133,17 +1053,13 @@ class LiveClusterClient:
     def _put_primaries(self, items, expires_at, priority
                        ) -> tuple[list[int], ProtocolError | None]:
         """:meth:`put_many`'s primary leg: one fan-out over the owners.
-        Accounts every stored record on the ring; returns the stored
-        keys and the first shard error (each failed shard counted)."""
+        Returns the stored keys and the first shard error (each failed
+        shard counted)."""
         stored: list[int] = []
         first_error: ProtocolError | None = None
-        for group, result in self._put_groups(
+        for result in self._put_groups(
                 self._group_by_owner(items), self._remaining_ms(expires_at),
                 priority):
-            values = dict(group)
-            for key in result.stored:
-                self._account_insert(key, len(values[key]),
-                                     result.freed.get(key, 0))
             stored += result.stored
             if result.error is not None:
                 self._note_shard_failure()
@@ -1152,24 +1068,6 @@ class LiveClusterClient:
         return stored, first_error
 
     # -------------------------------------------------------------- growth
-
-    def _copy_if_absent(self, dest: LiveCacheClient,
-                        records: list[tuple[int, bytes]]
-                        ) -> tuple[list[int], list[int]]:
-        """Strict conditional copy for migrations.
-
-        Returns ``(stored_keys, skipped_keys)``.  If a transport retry
-        happened mid-copy the skipped/stored attribution is blurred (a
-        resent chunk reports records the lost-reply attempt already
-        applied as "skipped"), so skips are demoted to stores — the
-        accounting fixups then over-count at worst, which only drifts
-        load estimates, never drives byte accounting negative.
-        """
-        retries_before = dest.retries
-        result = _strict_multi_put(dest, records, if_absent=True)
-        if result.skipped and dest.retries != retries_before:
-            return result.stored + result.skipped, []
-        return result.stored, result.skipped
 
     def add_server(self, address: tuple[str, int], bucket: int) -> int:
         """Grow the cluster: new bucket + Algorithm 2 over the wire.
@@ -1200,29 +1098,9 @@ class LiveClusterClient:
             # Snapshot while still exclusive: nothing is in flight, so
             # the snapshot is exactly the interval's committed state.
             token, records = src.extract_prepare(lo, hi)
-            if records:
-                # Move the interval's accounted load onto the new
-                # bucket *before* traffic resumes — an overwrite of a
-                # copied record must find its bytes already there.
-                # Clamped to what the source bucket actually has on the
-                # books: retry-blurred attribution can leave it
-                # under-accounted, and a load estimate is not worth a
-                # crash.
-                with self._acct:
-                    donor = (self.ring.bucket_for_hkey(hi + 1)
-                             if hi + 1 < self.ring.ring_range
-                             else self.ring.buckets[0])
-                    self.ring.transfer_load(
-                        donor, bucket,
-                        min(sum(len(v) for _, v in records),
-                            self.ring.bucket_bytes.get(donor, 0)),
-                        min(len(records),
-                            self.ring.bucket_records.get(donor, 0)))
             fwd = self._register_forwards([(lo, hi, src)])
         try:
-            skipped: list[int] = []
-            if records:
-                _, skipped = self._copy_if_absent(new_client, records)
+            _strict_multi_put(new_client, records, if_absent=True)
             src.extract_commit(token)
         except BaseException:
             # Copy failed: the source keeps everything (lease expiry
@@ -1234,13 +1112,6 @@ class LiveClusterClient:
             except (ProtocolError, OSError):
                 pass
             raise
-        # A skipped record means a concurrent write already replaced it
-        # at the new owner: its snapshot bytes were transfer-credited
-        # above but never stored, while the replacement accounted itself
-        # on write — release the snapshot's share.
-        sizes = {k: len(v) for k, v in records}
-        for key in skipped:
-            self._account_delete(key, sizes[key])
         self._drop_forwards(fwd)
         if self.replica is not None:
             # The split moved a range to the new owner, which moved the
@@ -1285,19 +1156,9 @@ class LiveClusterClient:
                     token, recs = victim.extract_prepare(lo, hi)
                     prepared.append(token)
                     records.extend(recs)
-                # Release the bucket's accounting and drop it: from
-                # this moment writes route to the ring successor, so
-                # nothing new can land on the victim.  Residual drift
-                # (and deferred deletes for the interval) is written
-                # off with the bucket rather than left to charge its
-                # successor.
-                with self._acct:
-                    for key, value in records:
-                        self._debt_delete_locked(self.ring.hash_key(key),
-                                                 len(value))
-                    self._drop_debts_locked(segments)
-                    self.ring.clear_load(bucket)
-                    self.ring.remove_bucket(bucket)
+                # Drop the bucket: from this moment writes route to the
+                # ring successor, so nothing new can land on the victim.
+                self.ring.remove_bucket(bucket)
                 dest_addr = self.ring.node_for_hkey(bucket)
                 dest = self.clients[dest_addr]
                 # Reads that miss at the successor chase the records
@@ -1306,24 +1167,12 @@ class LiveClusterClient:
                     [(lo, hi, victim) for lo, hi in segments])
             # Copy *with* traffic flowing: conditional, so a write that
             # already landed at the successor is never clobbered by the
-            # (older) snapshot value.
-            retries_before = dest.retries
-            result = dest.multi_put(records, if_absent=True)
-            accountable = list(result.stored)
-            if result.skipped and dest.retries != retries_before:
-                # Transport retry blurred stored/skipped attribution —
-                # assume stored (over-accounting drifts load estimates
-                # upward; under-accounting could go negative later).
-                accountable += result.skipped
-            sizes = {k: len(v) for k, v in records}
-            for key in accountable:
-                self._account_insert(key, sizes[key])
-            if result.error is not None:
-                # Partial copy: the victim still holds everything and
-                # the forwarding entries stay, so reads keep reaching
-                # the stranded records while the caller retries.
-                raise result.error
-            moved += len(result.stored)
+            # (older) snapshot value.  A partial copy raises: the victim
+            # still holds everything and the forwarding entries stay, so
+            # reads keep reaching the stranded records while the caller
+            # retries.
+            moved += len(_strict_multi_put(dest, records,
+                                           if_absent=True).stored)
             # Phase 2: every record has a new home — only now delete
             # at the victim.
             for token in prepared:
@@ -1366,10 +1215,9 @@ class LiveClusterClient:
 
         The failure-time analogue of Algorithm 2's migration: each of the
         dead server's buckets is re-assigned to its ring successor's
-        owner, and — because the records died with the process — the
-        buckets' load accounting is zeroed rather than transferred.
-        Misses on the reassigned intervals then recompute and repopulate
-        on the survivors.  Returns the repaired bucket positions, which
+        owner, and — because the records died with the process — nothing
+        is copied.  Misses on the reassigned intervals then recompute and
+        repopulate on the survivors.  Returns the repaired bucket positions, which
         :meth:`restore_server` can later hand back.
 
         ``forward=True`` covers the *partition* flavour of failure: the
@@ -1385,9 +1233,9 @@ class LiveClusterClient:
         layer **first**: every segment a live buddy holds a copy of is
         claimed as a replica read source (and hint target for outage
         writes), and only what no replica covers is truly written off.
-        The bucket *accounting* is cleared either way — the interim
-        owner's primary namespace starts empty for the range; the data
-        survives in the buddy's separately-accounted replica namespace.
+        The interim owner's primary namespace starts empty for the range
+        either way; the data survives in the buddy's separately-accounted
+        replica namespace.
 
         Raises
         ------
@@ -1406,11 +1254,8 @@ class LiveClusterClient:
                 # before anything is discarded: claimed segments stay
                 # readable (and writable, via hints) on their buddies.
                 self.replica.claim_failed(address, seg_map)
-            with self._acct:
-                for bucket, successor in reassignments:
-                    self.ring.clear_load(bucket)
-                    self.ring.reassign_bucket(bucket, successor)
-                self._drop_debts_locked(segments)
+            for bucket, successor in reassignments:
+                self.ring.reassign_bucket(bucket, successor)
             client = self.clients.pop(address)
             if forward:
                 self._forward_clients[address] = client
@@ -1457,13 +1302,6 @@ class LiveClusterClient:
                 interim_addr = self.ring.node_map[bucket]
                 interim = self.clients[interim_addr]  # type: ignore[index]
                 segments = self.ring.interval_segments(bucket)
-                # A *partitioned* (rather than crashed) server comes
-                # back still holding residents whose accounting
-                # fail_server wrote off.  (A crashed server restarts
-                # cold, so the sweep is empty.)
-                stale: list[tuple[int, bytes]] = []
-                for lo, hi in segments:
-                    stale.extend(client.sweep(lo, hi))
                 interim_tokens: list[str] = []
                 records: list[tuple[int, bytes]] = []
                 for lo, hi in segments:
@@ -1471,25 +1309,19 @@ class LiveClusterClient:
                     interim_tokens.append(token)
                     records.extend(recs)
                 fresh = {key for key, _ in records}
+                # A *partitioned* (rather than crashed) server comes
+                # back still holding its pre-outage residents; a
+                # crashed one restarts cold, so the sweep is empty.
                 # Residents the outage already rewrote must lose to the
                 # interim copy: delete them while still exclusive, so no
                 # read can observe the stale value once traffic resumes
                 # and the conditional copy below cannot be beaten to the
                 # slot by a value older than the snapshot.
-                for key, _ in stale:
-                    if key in fresh:
-                        client.delete(key)
-                with self._acct:
-                    for key, value in records:
-                        self._debt_delete_locked(self.ring.hash_key(key),
-                                                 len(value))
-                    self.ring.reassign_bucket(bucket, address)
-                    # Retained residents are current again — re-account
-                    # them at their restored home.
-                    for key, value in stale:
-                        if key not in fresh:
-                            self.ring.record_insert(self.ring.hash_key(key),
-                                                    len(value))
+                for lo, hi in segments:
+                    for key, _ in client.sweep(lo, hi):
+                        if key in fresh:
+                            client.delete(key)
+                self.ring.reassign_bucket(bucket, address)
                 if fwd_client is not None:
                     # Partition-mode forwarding for this interval is
                     # superseded by the interim entries registered next.
@@ -1502,22 +1334,13 @@ class LiveClusterClient:
                     [(lo, hi, interim) for lo, hi in segments])
             # Copy the outage's recomputes home *with* traffic flowing;
             # conditional, so a write that already landed at the
-            # restored owner survives the (older) interim snapshot.
-            retries_before = client.retries
-            result = client.multi_put(records, if_absent=True)
-            accountable = list(result.stored)
-            if result.skipped and client.retries != retries_before:
-                accountable += result.skipped
-            sizes = {k: len(v) for k, v in records}
-            for key in accountable:
-                self._account_insert(key, sizes[key])
-            if result.error is not None:
-                # Partial copy: the interim owner keeps everything (the
-                # prepare lease releases untouched) and forwarding
-                # stays, so nothing acked is lost while the caller
-                # retries the restore.
-                raise result.error
-            moved += len(result.stored)
+            # restored owner survives the (older) interim snapshot.  A
+            # partial copy raises: the interim owner keeps everything
+            # (the prepare lease releases untouched) and forwarding
+            # stays, so nothing acked is lost while the caller retries
+            # the restore.
+            moved += len(_strict_multi_put(client, records,
+                                           if_absent=True).stored)
             # Records are home — the interim owner may now delete.
             for token in interim_tokens:
                 interim.extract_commit(token)
@@ -1528,10 +1351,7 @@ class LiveClusterClient:
             # newer value an outage write produced.  Only then drop the
             # claims — if the drain dies, reads keep reaching the
             # buddy's copies and a retried restore re-drains.
-            drained = self.replica.drain(address, client)
-            for key, value in drained:
-                self._account_insert(key, len(value))
-            moved += len(drained)
+            moved += len(self.replica.drain(address, client))
             self.replica.release(address)
         del self._failed[address]
         if self.replica is not None:

@@ -159,9 +159,7 @@ class MigrationSource(Protocol):
 
 def migrate_range(source: MigrationSource,
                   dest_put: Callable[[int, bytes], object],
-                  lo: int, hi: int,
-                  dest_put_many: Callable[[list[tuple[int, bytes]]], object]
-                  | None = None) -> list[tuple[int, bytes]]:
+                  lo: int, hi: int) -> list[tuple[int, bytes]]:
     """Move every record in ``[lo, hi]`` off ``source`` loss-proof.
 
     prepare (snapshot, records retained) → copy each record via
@@ -171,23 +169,13 @@ def migrate_range(source: MigrationSource,
     idempotent at the source, so callers may retry it after a transport
     flap without risk.
 
-    ``dest_put_many`` (optional) batches the copy phase — one call with
-    the whole snapshot instead of one ``dest_put`` round-trip per
-    record.  It **must** raise if any record failed to apply (a silent
-    partial copy followed by the commit would be loss); a raise aborts
-    the prepare exactly like a failed ``dest_put``.
-
-    Returns the migrated records (the destination may want to account
-    them).  Raises whatever ``dest_put`` or the source ops raise.
+    Returns the migrated records.  Raises whatever ``dest_put`` or the
+    source ops raise.
     """
     token, records = source.extract_prepare(lo, hi)
     try:
-        if dest_put_many is not None:
-            if records:
-                dest_put_many(records)
-        else:
-            for key, value in records:
-                dest_put(key, value)
+        for key, value in records:
+            dest_put(key, value)
     except BaseException:
         try:
             source.extract_abort(token)

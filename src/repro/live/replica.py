@@ -83,8 +83,7 @@ def drain_replica_range(src: "LiveCacheClient", dst: "LiveCacheClient",
     acked record.
 
     Returns the records the destination newly stored (keys it skipped
-    were already brought home, newer, by the interim migration — their
-    accounting is done).
+    were already brought home, newer, by the interim migration).
     """
     token, records = src.extract_prepare(lo, hi, replica=True)
     stored: list[tuple[int, bytes]] = []
@@ -256,8 +255,8 @@ class ReplicaManager:
                         self.replica_write_failures += 1
                     continue
             groups.setdefault(client, []).append((key, value))
-        for _, result in self.cluster._put_groups(groups, deadline_ms,
-                                                  priority, replica=True):
+        for result in self.cluster._put_groups(groups, deadline_ms,
+                                               priority, replica=True):
             ok.extend(result.stored)
             with self._stats:
                 self.replica_writes += len(result.stored)

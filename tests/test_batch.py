@@ -309,17 +309,6 @@ class TestClusterFanOut:
         assert set(got) == set(keys) - dead_keys
         assert client.batch_shard_failures >= 1
 
-    def test_put_many_accounts_ring_load(self, cluster):
-        client, _ = cluster
-        items = [(k, b"ten bytes!") for k in range(0, 60000, 500)]
-        client.put_many(items)
-        assert sum(client.ring.node_bytes(a) for a in client.clients) \
-            == 10 * len(items)
-        # Overwrites rebalance, not double-count.
-        client.put_many([(k, b"four") for k, _ in items])
-        assert sum(client.ring.node_bytes(a) for a in client.clients) \
-            == 4 * len(items)
-
     def test_shared_deadline_budget(self, cluster):
         client, _ = cluster
         keys = list(range(0, 60000, 300))

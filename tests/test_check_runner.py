@@ -14,6 +14,9 @@ import os
 import pytest
 
 from repro.check import CheckConfig, run_check
+from repro.check.runner import _split_bucket
+from repro.faults import RetryPolicy
+from repro.live import LiveCacheServer, LiveClusterClient
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "20100607"))
 
@@ -102,3 +105,57 @@ def test_mix_nemesis_soak(offset):
         seed=SEED + 100 + offset, clients=3, ops_per_client=120,
         nemesis="mix", keyspace=20))
     assert report.ok, report.render()
+
+
+# ------------------------------------------------------- split placement
+#
+# The split nemesis asks each server for its own record count: the
+# fullest server's widest segment is split at its midpoint.  Buckets
+# sit at 21844, 43689 and 65535 on a 1 << 16 ring, so the last
+# interval is the widest by one.
+
+
+@pytest.fixture
+def trio():
+    servers = [LiveCacheServer(capacity_bytes=1 << 22).start()
+               for _ in range(3)]
+    cluster = LiveClusterClient(
+        [s.address for s in servers], ring_range=1 << 16,
+        retry=RetryPolicy(max_attempts=2, deadline_s=1.0), timeout=2.0)
+    yield cluster, [s.address for s in servers]
+    cluster.close()
+    for s in servers:
+        s.stop()
+
+
+def test_split_lands_in_the_fullest_servers_range(trio):
+    cluster, addrs = trio
+    cluster.put_many([(k, b"v") for k in range(0, 20000, 500)])
+    mid = _split_bucket(cluster)
+    assert mid is not None and 0 < mid < 21844
+    assert cluster.ring.node_for_hkey(mid) == addrs[0]
+
+
+def test_split_of_a_cold_cluster_takes_the_widest_interval(trio):
+    cluster, addrs = trio
+    mid = _split_bucket(cluster)
+    assert mid == 43690 + (65535 - 43690) // 2
+    assert cluster.ring.node_for_hkey(mid) == addrs[2]
+
+
+def test_split_counts_records_after_partition_and_restore(trio):
+    cluster, addrs = trio
+    keys = list(range(0, 20000, 500))
+    cluster.put_many([(k, b"old") for k in keys])
+    # Partition-style failover: server 0 keeps its residents while its
+    # interval is served by server 1; the outage rewrites half the keys.
+    cluster.fail_server(addrs[0], forward=True)
+    cluster.put_many([(k, b"new") for k in keys[::2]])
+    cluster.restore_server(addrs[0])
+    loads = [cluster.clients[a].stats()["records"] for a in addrs]
+    assert loads == [len(keys), 0, 0]
+    assert cluster.get_many(keys) == {
+        k: b"new" if i % 2 == 0 else b"old" for i, k in enumerate(keys)}
+    mid = _split_bucket(cluster)
+    assert mid is not None and 0 < mid < 21844
+    assert cluster.ring.node_for_hkey(mid) == addrs[0]

@@ -1,17 +1,15 @@
 """Fast unit tests for the fault subsystem (tier-1).
 
 Covers the pieces the chaos suite exercises end-to-end: retry policy
-mechanics, failure detection, fault plans, the fault proxy, ring repair
-accounting, and the client-level retry rules — including the regression
-tests for "``put`` retries transparently" and "sweep/extract never
-retry".
+mechanics, failure detection, fault plans, the fault proxy, and the
+client-level retry rules — including the regression tests for "``put``
+retries transparently" and "sweep/extract never retry".
 """
 
 import random
 
 import pytest
 
-from repro.core.ring import ConsistentHashRing, RingError
 from repro.faults import (FailureDetector, FaultEvent, FaultPlan, FaultProxy,
                           RetryPolicy, call_with_retry)
 from repro.live.client import LiveCacheClient, LiveClusterClient
@@ -146,24 +144,6 @@ class TestFaultPlan:
         assert fired == []
         queue.run_until(20.0)
         assert fired == [(10.0, "crash"), (15.0, "recover")]
-
-
-# ------------------------------------------------------------ ring repair
-
-
-class TestRingRepair:
-    def test_clear_load(self):
-        ring = ConsistentHashRing(ring_range=100)
-        ring.add_bucket(99, "n1")
-        ring.record_insert(10, 300)
-        assert ring.clear_load(99) == (300, 1)
-        assert ring.bucket_bytes[99] == 0
-        assert ring.bucket_records[99] == 0
-        with pytest.raises(RingError):
-            ring.clear_load(42)
-        # a cleared bucket can be dropped (nothing left to migrate)
-        ring.add_bucket(49, "n2")
-        ring.remove_bucket(49)
 
 
 # ------------------------------------------------------------------- proxy
