@@ -39,6 +39,7 @@ from typing import Callable
 
 from repro.core.ring import ConsistentHashRing
 from repro.faults.retry import RetryPolicy, call_with_retry
+from repro.live.migration import RangeTable, finish_move, prepare_move
 from repro.live.replica import ReplicaManager
 from repro.live.protocol import (
     BACKGROUND, DEADLINE, DELETE, EXTRACT_ABORT, EXTRACT_COMMIT,
@@ -83,25 +84,6 @@ class MultiPutResult:
     @property
     def acked(self) -> int:
         return len(self.stored)
-
-
-def _strict_multi_put(client: "LiveCacheClient",
-                      records: list[tuple[int, bytes]],
-                      if_absent: bool = False) -> MultiPutResult:
-    """Batched copy for migrations: all records applied, or raise.
-
-    ``multi_put`` reports partial state instead of raising; migration's
-    prepare→copy→commit needs the raise so a partial copy aborts the
-    prepare (source keeps everything) rather than committing loss.
-    With ``if_absent`` a record whose key is already present at the
-    destination is left alone and lands in ``skipped``, not in an error
-    (the resident value is *newer* than the snapshot — exactly what a
-    migration copy must preserve).
-    """
-    result = client.multi_put(records, if_absent=if_absent)
-    if result.error is not None:
-        raise result.error
-    return result
 
 
 class LiveCacheClient:
@@ -615,12 +597,12 @@ class _TopologyLock:
 
     Every routed data op (get/put/delete and the batched fan-outs)
     holds the lock *shared* for its full duration; topology mutations
-    (add/remove/fail/restore) hold it *exclusive* around the ring edit
-    plus forwarding registration.  That closes the straggler window: no
-    op that resolved an owner under the old topology can still be in
-    flight when the ring changes, so a migration snapshot taken after
-    the exclusive section is complete — nothing can sneak a write into
-    the source interval afterwards.
+    (add/remove/fail/restore) hold it *exclusive* around the move's
+    prepare, the ring edit and forwarding registration.  That closes
+    the straggler window: no op that resolved an owner under the old
+    topology can still be in flight when the ring changes, so the
+    snapshot is complete — nothing can sneak a write into the source
+    interval afterwards.
 
     Writer priority: once a topology change is waiting, new readers
     queue behind it, so elastic operations cannot be starved by a busy
@@ -711,11 +693,11 @@ class LiveClusterClient:
         #: (exclusive) — see :class:`_TopologyLock`.
         self._topo = _TopologyLock()
         #: in-flight migration forwarding: ``(lo, hi, src_client)``
-        #: entries, replaced wholesale under ``_fwd_lock``.  A miss at
-        #: the new owner of a key inside a forwarded interval re-reads
-        #: the migration source before declaring the key absent.
-        self._forwards: tuple = ()
-        self._fwd_lock = threading.Lock()
+        #: entries.  A miss at the new owner of a key inside a
+        #: forwarded interval re-reads the migration source before
+        #: declaring the key absent.  An entry whose source is still a
+        #: member is a move a failed reshape left pending.
+        self._forwards = RangeTable()
         #: still-reachable clients of failed-over servers (forwarding
         #: sources until restore), keyed by address.
         self._forward_clients: dict[tuple[str, int], LiveCacheClient] = {}
@@ -761,31 +743,6 @@ class LiveClusterClient:
         """Idempotent-request retries summed over live connections."""
         return sum(c.retries for c in list(self.clients.values()))
 
-    # ---------------------------------------------- migration forwarding
-
-    def _register_forwards(self, entries: list) -> list:
-        with self._fwd_lock:
-            self._forwards = self._forwards + tuple(entries)
-        return entries
-
-    def _drop_forwards(self, entries: list) -> None:
-        dead = {id(e) for e in entries}
-        with self._fwd_lock:
-            self._forwards = tuple(e for e in self._forwards
-                                   if id(e) not in dead)
-
-    def _forward_source(self, key: int) -> LiveCacheClient | None:
-        """The migration source still holding ``key``'s interval, if a
-        copy is in flight (or a failed-over server is still reachable)."""
-        forwards = self._forwards
-        if not forwards:
-            return None
-        hkey = self.ring.hash_key(key)
-        for lo, hi, src in forwards:
-            if lo <= hkey <= hi:
-                return src
-        return None
-
     def get(self, key: int, deadline_ms: float | None = None,
             priority: str | None = None) -> bytes | None:
         """Routed fetch.
@@ -805,7 +762,7 @@ class LiveClusterClient:
             value = self.client_for(key).get(key, deadline_ms=deadline_ms,
                                              priority=priority)
             if value is None:
-                src = self._forward_source(key)
+                src = self._forwards.lookup(self.ring.hash_key(key))
                 if src is not None:
                     value = src.get(key, deadline_ms=deadline_ms,
                                     priority=priority)
@@ -845,7 +802,7 @@ class LiveClusterClient:
         the buddy copy, best-effort)."""
         with self._topo.shared():
             found, _ = self.client_for(key).delete(key)
-            src = self._forward_source(key)
+            src = self._forwards.lookup(self.ring.hash_key(key))
             if src is not None:
                 try:
                     src_found, _ = src.delete(key)
@@ -994,7 +951,7 @@ class LiveClusterClient:
         for key in keys:
             if key in found:
                 continue
-            src = self._forward_source(key)
+            src = self._forwards.lookup(self.ring.hash_key(key))
             if src is not None:
                 by_src.setdefault(src, []).append(key)
         found.update(self._fetch_many(by_src, self._remaining_ms(expires_at),
@@ -1006,18 +963,14 @@ class LiveClusterClient:
                                       priority))
 
     def put_many(self, items, deadline_ms: float | None = None,
-                 priority: str | None = None,
-                 on_error: str = "degrade") -> int:
+                 priority: str | None = None) -> int:
         """Scatter-gather store: one ``multi_put`` per owning server, all
         sent before any is drained, sharing one deadline budget.
         Returns the number of records actually stored.
 
-        ``on_error="degrade"`` (default) treats a failed shard as
-        dropped writes for its keys — the cache holds derived bytes, so
-        the cost is a future miss, never correctness.  Callers that
-        copy then delete use ``on_error="raise"``: the first shard error
-        propagates once every shard is drained, so no copy-then-delete
-        sequence can commit against unacknowledged writes.
+        A failed shard is dropped writes for its keys (counted in
+        ``batch_shard_failures``) — the cache holds derived bytes, so
+        the cost is a future miss, never correctness.
 
         With buddy replication the primary fan-out runs under the
         batch's key locks, then a replica fan-out for the keys the
@@ -1033,103 +986,119 @@ class LiveClusterClient:
         expires_at = _expiry(deadline_ms)
         with self._topo.shared():
             if self.replica is None:
-                stored, first_error = self._put_primaries(items, expires_at,
-                                                          priority)
-                stored_total = len(stored)
-            else:
-                values = dict(items)
-                with self.replica.key_locks(list(values)):
-                    stored, first_error = self._put_primaries(
-                        items, expires_at, priority)
-                    replicated = self.replica.replicate_many(
-                        [(k, values[k]) for k in stored],
-                        deadline_ms=self._remaining_ms(expires_at),
-                        priority=priority)
-                stored_total = len(set(stored) & set(replicated))
-        if first_error is not None and on_error == "raise":
-            raise first_error
-        return stored_total
+                return len(self._put_primaries(items, expires_at, priority))
+            values = dict(items)
+            with self.replica.key_locks(list(values)):
+                stored = self._put_primaries(items, expires_at, priority)
+                replicated = self.replica.replicate_many(
+                    [(k, values[k]) for k in stored],
+                    deadline_ms=self._remaining_ms(expires_at),
+                    priority=priority)
+            return len(set(stored) & set(replicated))
 
-    def _put_primaries(self, items, expires_at, priority
-                       ) -> tuple[list[int], ProtocolError | None]:
+    def _put_primaries(self, items, expires_at, priority) -> list[int]:
         """:meth:`put_many`'s primary leg: one fan-out over the owners.
-        Returns the stored keys and the first shard error (each failed
-        shard counted)."""
+        Returns the stored keys (each failed shard counted)."""
         stored: list[int] = []
-        first_error: ProtocolError | None = None
         for result in self._put_groups(
                 self._group_by_owner(items), self._remaining_ms(expires_at),
                 priority):
             stored += result.stored
             if result.error is not None:
                 self._note_shard_failure()
-                if first_error is None:
-                    first_error = result.error
-        return stored, first_error
+        return stored
 
     # -------------------------------------------------------------- growth
 
     def add_server(self, address: tuple[str, int], bucket: int) -> int:
         """Grow the cluster: new bucket + Algorithm 2 over the wire.
 
-        The records in the new bucket's interval are migrated two-phase
-        (prepare → copy → commit) from the server that previously owned
-        them to the new one: a crash mid-migration leaves the records on
-        the source, never lost.  Returns the number of records migrated.
+        The new bucket's interval moves from the server that previously
+        owned it to the new one as one two-phase range move
+        (:func:`~repro.live.migration.prepare_move` under the exclusive
+        topology lock together with the ring edit, then
+        :func:`~repro.live.migration.finish_move` outside it): a crash
+        mid-migration leaves the records on the source, never lost.
+        Returns the number of records the new server stored.
 
-        Consistency under concurrent traffic: the ring edit plus the
-        migration snapshot happen under the exclusive topology lock, so
-        the moment any client can route a write to the new bucket the
-        source interval is already frozen.  The copy itself then runs
-        *with* traffic flowing: writes go to the new owner, the copy is
-        ``if_absent`` (a snapshot record never clobbers a newer write),
-        and reads that miss at the new owner follow the forwarding entry
-        back to the source until the copy commits.
+        If the source refuses the prepare (overloaded, unreachable), the
+        ring edit is rolled back and the error raised: routing is
+        exactly as before the call.  Once any client can route a write
+        to the new bucket the source interval is already frozen.  The
+        copy then runs *with* traffic flowing: writes go to the new
+        owner, the copy is ``if_absent`` (a snapshot record never
+        clobbers a newer write), and reads that miss at the new owner
+        follow the forwarding entry back to the source until the copy
+        commits.  A failed copy keeps that entry, so reads still reach
+        the records it left at the source.
         """
         if address in self.clients:
             raise ValueError(f"server {address} already in the cluster")
         new_client = self._connect(address)
         with self._topo.exclusive():
-            old_owner_addr = self.ring.node_for_hkey(bucket)
-            src = self.clients[old_owner_addr]
-            self.clients[address] = new_client
+            src = self.clients[self.ring.node_for_hkey(bucket)]
             self.ring.add_bucket(bucket, address)
-            lo, hi = self.ring.interval_segments(bucket)[-1]
-            # Snapshot while still exclusive: nothing is in flight, so
-            # the snapshot is exactly the interval's committed state.
-            token, records = src.extract_prepare(lo, hi)
-            fwd = self._register_forwards([(lo, hi, src)])
-        try:
-            _strict_multi_put(new_client, records, if_absent=True)
-            src.extract_commit(token)
-        except BaseException:
-            # Copy failed: the source keeps everything (lease expiry
-            # releases the snapshot); forwarding stays so reads still
-            # reach the stranded records, and the caller may retry the
-            # growth or remove the half-added server.
+            segments = self.ring.interval_segments(bucket)
             try:
-                src.extract_abort(token)
-            except (ProtocolError, OSError):
-                pass
-            raise
-        self._drop_forwards(fwd)
+                move = prepare_move(src, segments)
+            except BaseException:
+                self.ring.remove_bucket(bucket)
+                new_client.close()
+                raise
+            self.clients[address] = new_client
+            fwd = self._forwards.add((lo, hi, src) for lo, hi in segments)
+        moved = self._finish(move, new_client, fwd)
         if self.replica is not None:
             # The split moved a range to the new owner, which moved the
             # range's buddy (and the predecessor bucket's): re-place.
             self.replica.rebuild_touching([bucket])
-        return len(records)
+        return moved
+
+    def _finish(self, move, dest: LiveCacheClient, fwd: list) -> int:
+        """A reshape's second half, outside the topology lock: finish
+        the move into ``dest``, then drop its forwarding entries.  A
+        failed copy raises with the entries kept — reads still reach the
+        records at the source, and the entries mark the move pending
+        for the reshape's retry (:meth:`_finish_pending`)."""
+        moved = len(finish_move(move, dest))
+        self._forwards.drop(fwd)
+        return moved
+
+    def _finish_pending(self, entries: list) -> int:
+        """Re-run moves a failed reshape left pending: each forwarding
+        entry is cut at the current bucket boundaries and every piece
+        moved from the entry's source to its current owner, one
+        prepare (exclusive) and finish per piece.  Each entry is dropped
+        once all its pieces have landed.  Returns records moved."""
+        moved = 0
+        for entry in entries:
+            lo, hi, src = entry
+            while lo <= hi:
+                with self._topo.exclusive():
+                    bucket = self.ring.bucket_for_hkey(lo)
+                    end = hi if bucket < lo else min(hi, bucket)
+                    move = prepare_move(src, [(lo, end)])
+                    dest = self.clients[self.ring.node_map[bucket]]
+                moved += len(finish_move(move, dest))
+                lo = end + 1
+            self._forwards.drop([entry])
+        return moved
 
     def remove_server(self, address: tuple[str, int]) -> int:
-        """Shrink the cluster: drain a server's records to the ring
+        """Shrink the cluster: move a server's records to the ring
         successors of its buckets (the contraction counterpart of
         :meth:`add_server`), drop its buckets, and disconnect.
 
-        Each interval is drained two-phase: the records are copied to
-        their new homes *before* the victim deletes them, so a crash
-        mid-drain duplicates at worst.  Returns the number of records
-        migrated.  The server process itself is left running
-        (ownerless) — stopping it is the caller's job, mirroring
-        instance termination.
+        Each bucket is one two-phase range move: prepare and the bucket
+        drop run under the exclusive topology lock, the copy after it,
+        and the victim deletes only once its successor holds the copy,
+        so a crash mid-drain duplicates at worst.  A failed copy aborts
+        the victim's transfer tokens and raises, with the bucket already
+        dropped and its forwarding entry kept; calling again finishes
+        those pending moves before the remaining buckets.  Returns the
+        number of records moved.  The server process itself is left
+        running (ownerless) — stopping it is the caller's job,
+        mirroring instance termination.
 
         Raises
         ------
@@ -1141,50 +1110,28 @@ class LiveClusterClient:
         if len(self.clients) == 1:
             raise ValueError("cannot remove the last server")
         victim = self.clients[address]
-        drained_positions = list(self.ring.buckets_of(address))
-
-        moved = 0
-        for bucket in list(self.ring.buckets_of(address)):
+        pending = [e for e in self._forwards.entries if e[2] is victim]
+        positions = list(self.ring.buckets_of(address))
+        moved = self._finish_pending(pending)
+        for bucket in positions:
             with self._topo.exclusive():
                 segments = self.ring.interval_segments(bucket)
-                # Phase 1: snapshot every segment under transfer tokens
-                # — still exclusive, so nothing can write behind the
-                # snapshot before the bucket is gone.
-                prepared: list[str] = []
-                records: list[tuple[int, bytes]] = []
-                for lo, hi in segments:
-                    token, recs = victim.extract_prepare(lo, hi)
-                    prepared.append(token)
-                    records.extend(recs)
-                # Drop the bucket: from this moment writes route to the
-                # ring successor, so nothing new can land on the victim.
+                move = prepare_move(victim, segments)
+                # From here writes route to the ring successor, so
+                # nothing new can land on the victim.
                 self.ring.remove_bucket(bucket)
-                dest_addr = self.ring.node_for_hkey(bucket)
-                dest = self.clients[dest_addr]
-                # Reads that miss at the successor chase the records
-                # back to the victim until the copy commits.
-                fwd = self._register_forwards(
-                    [(lo, hi, victim) for lo, hi in segments])
-            # Copy *with* traffic flowing: conditional, so a write that
-            # already landed at the successor is never clobbered by the
-            # (older) snapshot value.  A partial copy raises: the victim
-            # still holds everything and the forwarding entries stay, so
-            # reads keep reaching the stranded records while the caller
-            # retries.
-            moved += len(_strict_multi_put(dest, records,
-                                           if_absent=True).stored)
-            # Phase 2: every record has a new home — only now delete
-            # at the victim.
-            for token in prepared:
-                victim.extract_commit(token)
-            self._drop_forwards(fwd)
+                dest = self.clients[self.ring.node_for_hkey(bucket)]
+                fwd = self._forwards.add(
+                    (lo, hi, victim) for lo, hi in segments)
+            moved += self._finish(move, dest, fwd)
         del self.clients[address]
         if self.replica is not None:
             # Contraction merged the victim's intervals into their ring
             # successors — rebuild the absorbing buckets' replicas (the
             # victim, already out of ``clients``, is skipped; its copies
             # die with the instance).
-            self.replica.rebuild_touching(drained_positions)
+            self.replica.rebuild_touching(
+                positions + [hi for _, hi, _ in pending])
         victim.close()
         return moved
 
@@ -1259,8 +1206,7 @@ class LiveClusterClient:
             client = self.clients.pop(address)
             if forward:
                 self._forward_clients[address] = client
-                self._register_forwards(
-                    [(lo, hi, client) for lo, hi in segments])
+                self._forwards.add((lo, hi, client) for lo, hi in segments)
             else:
                 try:
                     client.close()
@@ -1273,11 +1219,14 @@ class LiveClusterClient:
         """Re-admit a previously failed server (restarted, cold).
 
         The inverse of :meth:`fail_server`, and once more Algorithm 2 in
-        spirit: for each bucket the dead node used to own, the records
-        recomputed onto the interim owner during the outage are migrated
-        back two-phase — copied home *before* the interim owner deletes
-        them, so a crash mid-restore cannot lose what the outage already
-        paid to recompute.  Returns the number of records migrated back.
+        spirit: each bucket the dead node used to own is one two-phase
+        range move of the records recomputed onto the interim owner
+        during the outage back home — copied *before* the interim owner
+        deletes them, so a crash mid-restore cannot lose what the outage
+        already paid to recompute.  A failed copy aborts the interim
+        owner's tokens and raises with the forwarding entry kept;
+        calling again finishes those pending moves and then the buckets
+        not yet home.  Returns the number of records moved back.
 
         With replication enabled, three more steps follow the interim
         migration: the hinted-handoff queue on the range's buddy is
@@ -1291,24 +1240,24 @@ class LiveClusterClient:
         address = tuple(address)  # type: ignore[assignment]
         if address not in self._failed:
             raise ValueError(f"server {address} was not failed over")
-        client = self._connect(address)
-        # No bucket routes to the address yet, so admitting the
-        # connection early is inert until the first reassign below.
-        self.clients[address] = client
-        fwd_client = self._forward_clients.pop(address, None)
-        moved = 0
+        client = self.clients.get(address)
+        if client is None:
+            # No bucket routes to the address yet, so admitting the
+            # connection early is inert until the first reassign below.
+            client = self.clients[address] = self._connect(address)
+        fwd_client = self._forward_clients.get(address)
+        moved = self._finish_pending(
+            [e for e in self._forwards.entries
+             if e[2] in self.clients.values()
+             and self.ring.node_for_hkey(e[0]) == address])
         for bucket in self._failed[address]:
+            if self.ring.node_map[bucket] == address:
+                continue  # home since an earlier call
             with self._topo.exclusive():
-                interim_addr = self.ring.node_map[bucket]
-                interim = self.clients[interim_addr]  # type: ignore[index]
+                interim = self.clients[self.ring.node_map[bucket]]
                 segments = self.ring.interval_segments(bucket)
-                interim_tokens: list[str] = []
-                records: list[tuple[int, bytes]] = []
-                for lo, hi in segments:
-                    token, recs = interim.extract_prepare(lo, hi)
-                    interim_tokens.append(token)
-                    records.extend(recs)
-                fresh = {key for key, _ in records}
+                move = prepare_move(interim, segments)
+                fresh = {key for key, _ in move.records}
                 # A *partitioned* (rather than crashed) server comes
                 # back still holding its pre-outage residents; a
                 # crashed one restarts cold, so the sweep is empty.
@@ -1317,34 +1266,26 @@ class LiveClusterClient:
                 # read can observe the stale value once traffic resumes
                 # and the conditional copy below cannot be beaten to the
                 # slot by a value older than the snapshot.
-                for lo, hi in segments:
-                    for key, _ in client.sweep(lo, hi):
-                        if key in fresh:
-                            client.delete(key)
+                try:
+                    for lo, hi in segments:
+                        for key, _ in client.sweep(lo, hi):
+                            if key in fresh:
+                                client.delete(key)
+                except BaseException:
+                    move.abort()
+                    raise
                 self.ring.reassign_bucket(bucket, address)
                 if fwd_client is not None:
                     # Partition-mode forwarding for this interval is
                     # superseded by the interim entries registered next.
-                    self._drop_forwards(
-                        [e for e in self._forwards
+                    self._forwards.drop(
+                        [e for e in self._forwards.entries
                          if e[2] is fwd_client
                          and any(not (e[1] < lo or hi < e[0])
                                  for lo, hi in segments)])
-                fwd = self._register_forwards(
-                    [(lo, hi, interim) for lo, hi in segments])
-            # Copy the outage's recomputes home *with* traffic flowing;
-            # conditional, so a write that already landed at the
-            # restored owner survives the (older) interim snapshot.  A
-            # partial copy raises: the interim owner keeps everything
-            # (the prepare lease releases untouched) and forwarding
-            # stays, so nothing acked is lost while the caller retries
-            # the restore.
-            moved += len(_strict_multi_put(client, records,
-                                           if_absent=True).stored)
-            # Records are home — the interim owner may now delete.
-            for token in interim_tokens:
-                interim.extract_commit(token)
-            self._drop_forwards(fwd)
+                fwd = self._forwards.add(
+                    (lo, hi, interim) for lo, hi in segments)
+            moved += self._finish(move, client, fwd)
         if self.replica is not None:
             # Drain the hinted-handoff queue home.  Conditional behind
             # the interim migration above: a hint never clobbers the
@@ -1353,13 +1294,13 @@ class LiveClusterClient:
             # buddy's copies and a retried restore re-drains.
             moved += len(self.replica.drain(address, client))
             self.replica.release(address)
-        del self._failed[address]
+        restored = self._failed.pop(address)
+        self._forward_clients.pop(address, None)
         if self.replica is not None:
             # Anti-entropy: the restored buckets' replicas moved with
             # the ring (and stray hint copies may linger); re-place
             # them under the current layout.
-            self.replica.rebuild_touching(
-                [b for b in self.ring.buckets_of(address)])
+            self.replica.rebuild_touching(restored)
         if fwd_client is not None:
             fwd_client.close()
         return moved

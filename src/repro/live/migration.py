@@ -1,4 +1,4 @@
-"""Loss-proof two-phase record migration.
+"""Loss-proof two-phase range moves.
 
 The paper's Algorithm 2 moves an interval of records from one cache node
 to another.  Doing that with a destructive ``extract`` (delete at the
@@ -11,8 +11,15 @@ wire protocol and the cluster client build on:
   snapshots the interval under a leased **transfer token** while the
   records stay in the store; only a commit deletes them; an abort (or
   lease expiry) releases the snapshot untouched.
-* :func:`migrate_range` — the *caller-side* protocol: prepare → copy to
-  destination → commit, with a best-effort abort on any copy failure.
+* :func:`prepare_move` / :func:`finish_move` — the *caller-side* range
+  move, the one copy of prepare → copy → commit/abort that every
+  migration runs: growth, contraction, restore (primary namespace) and
+  the hinted-handoff drain (replica namespace).  The cluster reshapes
+  prepare inside their exclusive topology section and finish outside
+  it, so traffic flows during the copy.
+* :class:`RangeTable` — hash-key ranges mapped to the client that still
+  holds them: the cluster's in-flight move forwards and the replica
+  layer's failed-range claims.
 
 Crash analysis (the invariant the chaos and property suites pin down):
 
@@ -37,7 +44,12 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable
+
+from repro.live.protocol import ProtocolError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.live.client import LiveCacheClient
 
 #: default lease, generous next to real migration times (sub-second on a
 #: LAN) but short enough that an abandoned prepare frees its snapshot.
@@ -146,41 +158,107 @@ class TransferLedger:
             return len(self._transfers)
 
 
-class MigrationSource(Protocol):
-    """What :func:`migrate_range` needs from a source shard."""
+@dataclass
+class Move:
+    """A prepared range move: transfer tokens held at ``source``."""
 
-    def extract_prepare(self, lo: int, hi: int
-                        ) -> tuple[str, list[tuple[int, bytes]]]: ...
+    source: "LiveCacheClient"
+    replica: bool
+    tokens: list[str]
+    #: every snapshotted ``(key, value)``, in segment order.
+    records: list[tuple[int, bytes]]
 
-    def extract_commit(self, token: str) -> int: ...
+    def abort(self) -> None:
+        """Release every token, best-effort: a token the source cannot
+        be told about lease-expires, records untouched."""
+        for token in self.tokens:
+            try:
+                self.source.extract_abort(token, replica=self.replica)
+            except (ProtocolError, OSError):
+                pass
 
-    def extract_abort(self, token: str) -> None: ...
 
-
-def migrate_range(source: MigrationSource,
-                  dest_put: Callable[[int, bytes], object],
-                  lo: int, hi: int) -> list[tuple[int, bytes]]:
-    """Move every record in ``[lo, hi]`` off ``source`` loss-proof.
-
-    prepare (snapshot, records retained) → copy each record via
-    ``dest_put`` → commit (delete at source).  If any copy fails the
-    prepare is aborted best-effort — the source still holds everything,
-    so the caller can simply re-run the migration.  The commit itself is
-    idempotent at the source, so callers may retry it after a transport
-    flap without risk.
-
-    Returns the migrated records.  Raises whatever ``dest_put`` or the
-    source ops raise.
-    """
-    token, records = source.extract_prepare(lo, hi)
+def prepare_move(source: "LiveCacheClient", segments,
+                 replica: bool = False) -> Move:
+    """Phase one: snapshot each ``(lo, hi)`` segment of ``source`` (its
+    replica namespace with ``replica``) under a transfer token.  The
+    records stay at the source.  If any segment fails, the tokens
+    already taken are aborted and the error propagates."""
+    move = Move(source, replica, [], [])
     try:
-        for key, value in records:
-            dest_put(key, value)
+        for lo, hi in segments:
+            token, records = source.extract_prepare(lo, hi, replica=replica)
+            move.tokens.append(token)
+            move.records += records
     except BaseException:
-        try:
-            source.extract_abort(token)
-        except Exception:  # pragma: no cover - source also unreachable
-            pass  # lease expiry will release the snapshot
+        move.abort()
         raise
-    source.extract_commit(token)
-    return records
+    return move
+
+
+def finish_move(move: Move, dest: "LiveCacheClient"
+                ) -> list[tuple[int, bytes]]:
+    """Phase two: one ``if_absent`` ``multi_put`` of the snapshot into
+    ``dest``'s primary namespace, then commit every token (deleting the
+    records at the source).  ``if_absent``: a key ``dest`` already holds
+    arrived after the snapshot and is newer, so it wins.
+
+    If the copy fails, every token is aborted — the source keeps
+    everything, so the caller can re-run the move — and the error is
+    raised.  Returns the records ``dest`` newly stored.  A move of a
+    primary range onto its own source (the range folded into another
+    bucket of the same server) is aborted: the records are already home,
+    and a commit would delete them.
+    """
+    if dest is move.source and not move.replica:
+        move.abort()
+        return []
+    landed: set[int] = set()
+    if move.records:
+        try:
+            result = dest.multi_put(move.records, if_absent=True)
+            if result.error is not None:
+                raise result.error
+        except BaseException:
+            move.abort()
+            raise
+        landed = set(result.stored)
+    for token in move.tokens:
+        move.source.extract_commit(token, replica=move.replica)
+    return [(k, v) for k, v in move.records if k in landed]
+
+
+class RangeTable:
+    """Hash-key ranges mapped to the client that still holds them.
+
+    Entries are ``(lo, hi, client)`` tuples.  The entry tuple is
+    replaced wholesale under a lock, so lookups never lock, and an empty
+    table costs one truth test.  Entries are dropped by identity: the
+    list :meth:`add` returns is the handle to drop them with.
+    """
+
+    def __init__(self) -> None:
+        self.entries: tuple = ()
+        self._lock = threading.Lock()
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
+    def add(self, entries) -> list:
+        entries = list(entries)
+        with self._lock:
+            self.entries += tuple(entries)
+        return entries
+
+    def drop(self, entries) -> None:
+        dead = {id(e) for e in entries}
+        with self._lock:
+            self.entries = tuple(e for e in self.entries
+                                 if id(e) not in dead)
+
+    def lookup(self, hkey: int):
+        """The client of the first entry covering ``hkey``, or ``None``."""
+        for lo, hi, client in self.entries:
+            if lo <= hkey <= hi:
+                return client
+        return None

@@ -35,12 +35,17 @@ already holds it.
 Hinted handoff
 --------------
 While a primary is failed over, :meth:`ReplicaManager.claim_failed` has
-registered the dead range's buddy as a read source, and every write
-routed to the interim owner also leaves a replica-flagged **hint** on
-that same buddy.  :meth:`ReplicaManager.drain` moves the hints home on
-``restore_server`` via the two-phase extract family — conditional
-(``if_absent``) behind the interim migration, so a hint can never
-clobber the newer value the outage wrote.
+registered the dead range's buddy as a read source (an entry in a
+:class:`~repro.live.migration.RangeTable`), and every write routed to
+the interim owner also leaves a replica-flagged **hint** on that same
+buddy.  :meth:`ReplicaManager.drain` moves the hints home on
+``restore_server`` with the same two-phase range move every migration
+uses (:func:`~repro.live.migration.prepare_move` on the buddy's replica
+namespace, then :func:`~repro.live.migration.finish_move` into the
+restored primary) — conditional (``if_absent``) behind the interim
+migration, so a hint can never clobber the newer value the outage
+wrote.  A copy failure aborts the buddy's tokens and raises; the hints
+stay, and a retried restore re-drains them.
 
 Anti-entropy rebuild
 --------------------
@@ -59,49 +64,11 @@ import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
+from repro.live.migration import RangeTable, finish_move, prepare_move
 from repro.live.protocol import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.client import LiveCacheClient, LiveClusterClient
-
-
-def drain_replica_range(src: "LiveCacheClient", dst: "LiveCacheClient",
-                        lo: int, hi: int) -> list[tuple[int, bytes]]:
-    """Move one hinted-handoff range home, loss-proof.
-
-    Two-phase: snapshot the source's *replica* namespace under a
-    transfer token (records retained), conditionally copy into the
-    destination's *primary* namespace (``if_absent`` — a value the
-    restore migration already brought home is newer than any hint and
-    must win), and only then commit the token, deleting the hints.
-
-    Crash analysis, phase by phase (the property test walks these):
-    after prepare — the lease expires, hints stay, a re-drain re-reads;
-    mid-copy — the applied prefix is idempotent under replay, the
-    source keeps everything; before commit — duplicates at worst (the
-    copy is conditional); after commit — done.  No phase can lose an
-    acked record.
-
-    Returns the records the destination newly stored (keys it skipped
-    were already brought home, newer, by the interim migration).
-    """
-    token, records = src.extract_prepare(lo, hi, replica=True)
-    stored: list[tuple[int, bytes]] = []
-    if records:
-        result = dst.multi_put(records, if_absent=True)
-        if result.error is not None:
-            # The destination refused part of the copy: leave the
-            # prepare to lease-expire (records retained at the source)
-            # and report — a retried drain starts clean.
-            try:
-                src.extract_abort(token, replica=True)
-            except (ProtocolError, OSError):
-                pass
-            raise result.error
-        landed = set(result.stored)
-        stored = [(k, v) for k, v in records if k in landed]
-    src.extract_commit(token, replica=True)
-    return stored
 
 
 class ReplicaManager:
@@ -120,11 +87,10 @@ class ReplicaManager:
     def __init__(self, cluster: "LiveClusterClient") -> None:
         self.cluster = cluster
         self._locks = [threading.Lock() for _ in range(self.LOCK_STRIPES)]
-        #: per failed address: list of ``(lo, hi, buddy_client)`` claims
+        #: every claim as a ``(lo, hi, buddy_client)`` range entry
+        self._ranges = RangeTable()
+        #: per failed address: its entries in ``_ranges``
         self._claims: dict[tuple[str, int], list[tuple]] = {}
-        #: flattened claims for per-key lookup, replaced wholesale
-        self._spans: tuple = ()
-        self._spans_lock = threading.Lock()
         self._stats = threading.Lock()
         self.replica_writes = 0
         self.replica_write_failures = 0
@@ -179,12 +145,6 @@ class ReplicaManager:
         bucket = ring.bucket_for_hkey(ring.hash_key(key))
         return ring.successor_owner(bucket)
 
-    def _span_for(self, hkey: int):
-        for lo, hi, client in self._spans:
-            if lo <= hkey <= hi:
-                return client
-        return None
-
     # ---------------------------------------------------------- write path
 
     def replicate(self, key: int, value: bytes,
@@ -197,7 +157,7 @@ class ReplicaManager:
         everything else follows the steady-state successor rule.
         """
         ring = self.cluster.ring
-        client = self._span_for(ring.hash_key(key))
+        client = self._ranges.lookup(ring.hash_key(key))
         hinted = client is not None
         if client is None:
             addr = self.buddy_address(key)
@@ -241,7 +201,7 @@ class ReplicaManager:
         hinted: set[int] = set()
         ok: list[int] = []
         for key, value in items:
-            client = self._span_for(ring.hash_key(key))
+            client = self._ranges.lookup(ring.hash_key(key))
             if client is not None:
                 hinted.add(key)
             else:
@@ -274,7 +234,7 @@ class ReplicaManager:
         key lock.  A leaked copy only ever re-serves the key's last
         written value — consistent, just not yet evicted."""
         ring = self.cluster.ring
-        client = self._span_for(ring.hash_key(key))
+        client = self._ranges.lookup(ring.hash_key(key))
         if client is None:
             addr = self.buddy_address(key)
             client = self.cluster.clients.get(addr) if addr else None
@@ -295,7 +255,7 @@ class ReplicaManager:
         no copy.  Errors propagate: the caller's read fails rather than
         reporting a miss it cannot prove.
         """
-        client = self._span_for(self.cluster.ring.hash_key(key))
+        client = self._ranges.lookup(self.cluster.ring.hash_key(key))
         if client is None:
             return None
         value = client.get(key, deadline_ms=deadline_ms,
@@ -318,7 +278,7 @@ class ReplicaManager:
         for key in keys:
             if key in found:
                 continue
-            client = self._span_for(ring.hash_key(key))
+            client = self._ranges.lookup(ring.hash_key(key))
             if client is not None:
                 by_src.setdefault(client, []).append(key)
         part = self.cluster._fetch_many(by_src, deadline_ms, priority,
@@ -382,23 +342,23 @@ class ReplicaManager:
             covered.extend(segments)
             claims.extend((lo, hi, client) for lo, hi in segments)
         if claims:
-            existing = self._claims.setdefault(tuple(address), [])
-            existing.extend(claims)
-            with self._spans_lock:
-                self._spans = self._spans + tuple(claims)
+            self._claims.setdefault(tuple(address), []).extend(
+                self._ranges.add(claims))
         return covered, uncovered
 
     def drain(self, address, home: "LiveCacheClient"
               ) -> list[tuple[int, bytes]]:
         """Drain the hinted-handoff queue for a restored address: every
         claimed range is moved from its buddy's replica namespace back
-        into ``home``'s primary namespace (see
-        :func:`drain_replica_range`).  Returns the drained records; the
-        claims stay registered (reads must keep working if the drain
+        into ``home``'s primary namespace, one two-phase range move per
+        claim.  Returns the records ``home`` newly stored (keys it
+        already held are newer, brought home by the interim migration);
+        the claims stay registered (reads must keep working if the drain
         dies part-way) — the caller drops them via :meth:`release`."""
         drained: list[tuple[int, bytes]] = []
         for lo, hi, src in self._claims.get(tuple(address), []):
-            drained.extend(drain_replica_range(src, home, lo, hi))
+            drained += finish_move(
+                prepare_move(src, [(lo, hi)], replica=True), home)
         with self._stats:
             self.drained_records += len(drained)
             self.handoff_hints = 0
@@ -406,11 +366,7 @@ class ReplicaManager:
 
     def release(self, address) -> None:
         """Drop a restored address's claims (after a successful drain)."""
-        claims = self._claims.pop(tuple(address), [])
-        dead = {id(c) for c in claims}
-        with self._spans_lock:
-            self._spans = tuple(s for s in self._spans
-                                if id(s) not in dead)
+        self._ranges.drop(self._claims.pop(tuple(address), []))
 
     @property
     def handoff_depth(self) -> int:

@@ -22,6 +22,9 @@ from repro.cloud.network import NetworkModel
 from repro.cloud.provider import SimulatedCloud
 from repro.core.config import CacheConfig, ContractionConfig, EvictionConfig
 from repro.core.elastic import ElasticCooperativeCache
+from repro.live.client import MultiPutResult
+from repro.live.migration import TransferLedger
+from repro.live.protocol import ProtocolError
 from repro.sim.clock import SimClock
 
 # ------------------------------------------------- per-test timeout net
@@ -157,3 +160,63 @@ def make_cache(cloud, network, *, capacity_bytes=4096, ring_range=1 << 12,
 def small_cache(cloud, network) -> ElasticCooperativeCache:
     """Capacity of ~40 records of 100 B each."""
     return make_cache(cloud, network, capacity_bytes=4096)
+
+
+# ---------------------------------------------- in-memory range-move ends
+
+
+class FakeSource:
+    """An in-memory migration source speaking the two-phase extract
+    surface with the live server's ledger semantics: prepare snapshots
+    and *retains*, commit deletes (idempotently), abort releases.
+    ``replica`` is the namespace every call must name."""
+
+    def __init__(self, records, replica: bool = False):
+        self.records = dict(records)
+        self.ledger = TransferLedger(lease_s=1e9)
+        self.replica = replica
+        self.aborts = 0
+        self.commits = 0
+
+    def extract_prepare(self, lo, hi, replica=False):
+        assert replica == self.replica, "wrong namespace"
+        recs = [(k, v) for k, v in sorted(self.records.items())
+                if lo <= k <= hi]
+        return self.ledger.prepare(lo, hi, recs), recs
+
+    def extract_commit(self, token, replica=False):
+        assert replica == self.replica, "wrong namespace"
+        self.commits += 1
+        xfer = self.ledger.commit(token)
+        if xfer is None:
+            return 0
+        return sum(self.records.pop(k, None) is not None for k in xfer.keys)
+
+    def extract_abort(self, token, replica=False):
+        assert replica == self.replica, "wrong namespace"
+        self.aborts += 1
+        return self.ledger.abort(token)
+
+
+class FakeDest:
+    """An in-memory destination primary store: ``multi_put`` honours
+    ``if_absent`` and, once, refuses at key ``fail_at`` after applying
+    the records before it (a partial copy, as the wire reports one)."""
+
+    def __init__(self, resident=(), fail_at=None):
+        self.store = dict(resident)
+        self.fail_at = fail_at
+
+    def multi_put(self, records, if_absent=False):
+        result = MultiPutResult()
+        for key, value in records:
+            if key == self.fail_at:
+                self.fail_at = None
+                result.error = ProtocolError("destination died mid-copy")
+                return result
+            if if_absent and key in self.store:
+                result.skipped.append(key)
+                continue
+            self.store[key] = value
+            result.stored.append(key)
+        return result

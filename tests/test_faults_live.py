@@ -176,7 +176,7 @@ def test_crash_between_prepare_and_commit_loses_nothing(wait_until):
     oracle: zero lost, and zero duplicated once the migration completes.
     """
     from repro.live.client import LiveCacheClient
-    from repro.live.migration import migrate_range
+    from repro.live.migration import finish_move, prepare_move
     from repro.live.protocol import ProtocolError
 
     lo, hi = 0, RING // 2
@@ -209,11 +209,11 @@ def test_crash_between_prepare_and_commit_loses_nothing(wait_until):
         for k, v in oracle.items():
             assert src.get(k) == v
 
-        # --- crash 2: the *destination* dies mid-copy.  migrate_range
+        # --- crash 2: the *destination* dies mid-copy.  finish_move
         # aborts the prepare; the source still owns every record.
         dst_server.stop()
         with pytest.raises((ProtocolError, OSError)):
-            migrate_range(src, dst.put, lo, hi)
+            finish_move(prepare_move(src, [(lo, hi)]), dst)
         for k, v in oracle.items():
             assert src.get(k) == v, "aborted migration must retain records"
         assert src.stats()["transfers_pending"] == 0  # aborted, not leaked
@@ -226,7 +226,7 @@ def test_crash_between_prepare_and_commit_loses_nothing(wait_until):
         dst.close()
         dst = LiveCacheClient(dst_server.address, timeout=1.0,
                               retry=FAST_RETRY)
-        moved = migrate_range(src, dst.put, lo, hi)
+        moved = finish_move(prepare_move(src, [(lo, hi)]), dst)
         assert {k for k, _ in moved} == set(oracle)
         src_left = src.sweep(lo, hi)
         dst_now = dst.sweep(lo, hi)

@@ -25,11 +25,12 @@ from repro.core.config import ExperimentTimings
 from repro.core.coordinator import Coordinator
 from repro.faults import (FaultEvent, FaultPlan, FaultyCache, RetryPolicy,
                           SimFaultInjector, call_with_retry)
-from repro.live.migration import TransferLedger, migrate_range
+from repro.live.migration import finish_move, prepare_move
+from repro.live.protocol import ProtocolError
 from repro.services.base import SyntheticService
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
-from tests.conftest import make_cache
+from tests.conftest import FakeDest, FakeSource, make_cache
 
 
 # --------------------------------------------------------------------- sim
@@ -183,47 +184,32 @@ def test_retry_succeeds_within_budget(fail_count, seed):
 # --------------------------------------------------------- two-phase moves
 
 
-class _CrashySource:
-    """An in-memory MigrationSource with a scriptable crash point.
-
-    Mirrors the server's ledger semantics exactly: prepare snapshots and
-    *retains*, commit deletes (idempotently), abort releases.  Crashes
-    are raised as OSError at the scripted phase so the property can walk
-    every point of the two-phase protocol.
-    """
+class _CrashySource(FakeSource):
+    """A :class:`~tests.conftest.FakeSource` with a scriptable crash
+    point: crashes are raised as OSError at the scripted phase so the
+    property can walk every point of the two-phase protocol."""
 
     def __init__(self, records: dict, crash: str | None):
-        self.records = dict(records)
-        self.ledger = TransferLedger(lease_s=1e9)
+        super().__init__(records)
         self.crash = crash          # None|"prepare"|"commit_before"|"commit_after"
 
-    def extract_prepare(self, lo, hi):
+    def extract_prepare(self, lo, hi, replica=False):
         if self.crash == "prepare":
             self.crash = None
             raise OSError("source crashed during prepare")
-        recs = [(k, v) for k, v in sorted(self.records.items())
-                if lo <= k <= hi]
-        return self.ledger.prepare(lo, hi, recs), recs
+        return super().extract_prepare(lo, hi, replica)
 
-    def extract_commit(self, token):
+    def extract_commit(self, token, replica=False):
         if self.crash == "commit_before":
             # crash before any deletion: records stay, token orphaned
             self.crash = None
             raise OSError("source crashed before commit applied")
-        xfer = self.ledger.commit(token)
-        removed = 0
-        if xfer is not None:
-            for key in xfer.keys:
-                if self.records.pop(key, None) is not None:
-                    removed += 1
+        removed = super().extract_commit(token, replica)
         if self.crash == "commit_after":
             # deletion applied but the reply was lost
             self.crash = None
             raise OSError("reply lost after commit applied")
         return removed
-
-    def extract_abort(self, token):
-        return self.ledger.abort(token)
 
 
 two_phase_st = st.fixed_dictionaries({
@@ -249,15 +235,12 @@ def test_two_phase_migration_never_loses_records(case):
               for i in range(case["n_records"])}
     lo, hi = 0, 1000
     src = _CrashySource(oracle, case["crash"])
-    dest: dict = {}
     copy_fail_at = case["copy_fail_at"]
-
-    def dest_put(key, value, _state={"n": 0}):
-        if copy_fail_at is not None and _state["n"] == copy_fail_at:
-            _state["n"] += 1
-            raise OSError("destination crashed mid-copy")
-        _state["n"] += 1
-        dest[key] = value
+    # The destination refuses once, mid-copy, at the record in that slot.
+    keys = sorted(oracle)
+    home = FakeDest(fail_at=keys[copy_fail_at] if copy_fail_at is not None
+                    and copy_fail_at < len(keys) else None)
+    dest = home.store
 
     def assert_no_loss() -> None:
         """Invariant 1 (holds at *every* crash point): zero loss.  Every
@@ -275,9 +258,9 @@ def test_two_phase_migration_never_loses_records(case):
     # checking the no-loss invariant after every crashed attempt.
     for _ in range(3):
         try:
-            migrate_range(src, dest_put, lo, hi)
+            finish_move(prepare_move(src, [(lo, hi)]), home)
             break
-        except OSError:
+        except (OSError, ProtocolError):
             assert_no_loss()
     else:
         pytest.fail("migration did not complete after crashes were spent")

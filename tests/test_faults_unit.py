@@ -298,6 +298,47 @@ class TestClusterFailover:
             for s in servers:
                 s.stop()
 
+    def test_restore_retry_finishes_pending_moves(self):
+        # The restored server is too small for the outage's records, so
+        # the copy home fails part-way; once capacity is freed the
+        # retried restore must finish moving them home.
+        servers = [LiveCacheServer(capacity_bytes=1 << 20).start()
+                   for _ in range(2)]
+        addresses = [s.address for s in servers]
+        cluster = LiveClusterClient(addresses, ring_range=1 << 10,
+                                    retry=FAST, timeout=0.5)
+        keys = range(0, 1000, 25)
+        try:
+            victim, survivor = addresses
+            servers[0].stop()
+            cluster.fail_server(victim)
+            for key in keys:                    # the outage recomputes
+                cluster.put(key, f"v{key}".encode())
+            host, port = victim
+            servers[0] = LiveCacheServer(host=host, port=port,
+                                         capacity_bytes=16).start()
+            with pytest.raises(ProtocolError, match="overflow"):
+                cluster.restore_server(victim)
+            interim = cluster.clients[survivor]
+            assert interim.stats()["transfers_pending"] == 0
+            servers[0].store.capacity_bytes = 1 << 20   # capacity freed
+            assert cluster.restore_server(victim) > 0
+            assert not cluster.failed_servers
+            for key in keys:
+                assert cluster.get(key) == f"v{key}".encode()
+            # Every record of the restored range is home, none stranded
+            # on the interim owner.
+            for bucket in cluster.ring.buckets_of(victim):
+                for lo, hi in cluster.ring.interval_segments(bucket):
+                    assert interim.sweep(lo, hi) == []
+                    home = cluster.clients[victim].sweep(lo, hi)
+                    assert {k for k, _ in home} == {
+                        k for k in keys if lo <= k <= hi}
+        finally:
+            cluster.close()
+            for s in servers:
+                s.stop()
+
     def test_fail_last_server_refuses(self):
         server = LiveCacheServer(capacity_bytes=1 << 20).start()
         cluster = LiveClusterClient([server.address], ring_range=1 << 10)

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.live.client import LiveCacheClient, LiveClusterClient
-from repro.live.protocol import ProtocolError
+from repro.live.protocol import OverloadedError, ProtocolError
 from repro.live.server import LiveCacheServer
 
 
@@ -251,3 +251,112 @@ class TestCluster:
         stats = client.cluster_stats()
         assert len(stats) == 3
         assert sum(s["records"] for s in stats.values()) == 1
+
+
+class TestReshapeFailures:
+    """A reshape that fails part-way loses no acked key, leaves no
+    transfer pending, and calling it again finishes the job."""
+
+    RING = 1 << 16
+    KEYS = list(range(0, 60000, 150))
+
+    @pytest.fixture
+    def fleet(self):
+        servers = [LiveCacheServer(capacity_bytes=1 << 20).start()
+                   for _ in range(3)]
+        client = LiveClusterClient([s.address for s in servers],
+                                   ring_range=self.RING)
+        for k in self.KEYS:
+            client.put(k, f"{k}".encode())
+        yield client, servers
+        client.close()
+        for s in servers:
+            s.stop()
+
+    def assert_all_keys_read_back(self, client):
+        lost = [k for k in self.KEYS if client.get(k) != f"{k}".encode()]
+        assert not lost, f"{len(lost)} of {len(self.KEYS)} acked keys lost"
+
+    def test_add_server_refused_prepare_changes_nothing(self, fleet,
+                                                        monkeypatch):
+        client, _ = fleet
+        bucket = self.RING // 6
+        src = client.clients[client.address_for(bucket)]
+
+        def refuse(*args, **kwargs):
+            raise OverloadedError("shed")
+
+        monkeypatch.setattr(src, "extract_prepare", refuse)
+        ring_before = dict(client.ring.node_map)
+        extra = LiveCacheServer(capacity_bytes=1 << 20).start()
+        try:
+            with pytest.raises(OverloadedError):
+                client.add_server(extra.address, bucket)
+            assert client.ring.node_map == ring_before
+            assert extra.address not in client.clients
+            self.assert_all_keys_read_back(client)
+        finally:
+            extra.stop()
+
+    def _overflow_successor(self, servers):
+        """Leave the victim's successor room for a few records only."""
+        store = servers[2].store
+        store.capacity_bytes = store.used_bytes + 64
+        return store
+
+    def test_failed_copy_leaves_no_transfer_pending(self, fleet):
+        client, servers = fleet
+        victim = client.clients[servers[1].address]
+        self._overflow_successor(servers)
+        with pytest.raises(ProtocolError, match="overflow"):
+            client.remove_server(servers[1].address)
+        assert victim.stats()["transfers_pending"] == 0
+        self.assert_all_keys_read_back(client)
+
+    def test_remove_server_retry_finishes_pending_moves(self, fleet):
+        client, servers = fleet
+        successor = self._overflow_successor(servers)
+        with pytest.raises(ProtocolError, match="overflow"):
+            client.remove_server(servers[1].address)
+        left = len(servers[1].store.tree)
+        successor.capacity_bytes = 1 << 20      # capacity freed
+        # The first call's partial copy landed; the rest moves now.
+        assert 0 < client.remove_server(servers[1].address) < left
+        assert len(servers[1].store.tree) == 0
+        servers[1].stop()                       # instance terminated
+        assert servers[1].address not in client.clients
+        self.assert_all_keys_read_back(client)
+
+    def test_remove_server_retry_after_growth_split_the_range(self, fleet):
+        # Between the failed call and its retry, growth splits the
+        # pending range: each part must move to its own current owner.
+        client, servers = fleet
+        successor = self._overflow_successor(servers)
+        lo, hi = client.ring.interval_segments(
+            client.ring.buckets_of(servers[1].address)[0])[0]
+        with pytest.raises(ProtocolError, match="overflow"):
+            client.remove_server(servers[1].address)
+        successor.capacity_bytes = 1 << 20
+        extra = LiveCacheServer(capacity_bytes=1 << 20).start()
+        try:
+            client.add_server(extra.address, (lo + hi) // 2)
+            client.remove_server(servers[1].address)
+            servers[1].stop()
+            self.assert_all_keys_read_back(client)
+        finally:
+            extra.stop()
+
+    def test_remove_server_owning_adjacent_buckets(self, fleet):
+        # A failover leaves one server owning two adjacent buckets;
+        # dropping the first folds its interval into the second, so
+        # that move lands on the victim itself and must not commit.
+        client, servers = fleet
+        servers[0].stop()
+        client.fail_server(servers[0].address)
+        for k in self.KEYS:                     # the outage recomputes
+            client.put(k, f"{k}".encode())
+        victim = servers[1].address
+        assert len(client.ring.buckets_of(victim)) == 2
+        client.remove_server(victim)
+        servers[1].stop()
+        self.assert_all_keys_read_back(client)

@@ -17,12 +17,13 @@ from repro.faults import CircuitBreaker, FailureDetector, RetryPolicy
 from repro.faults.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.live.client import LiveCacheClient, LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
-from repro.live.migration import TransferLedger, migrate_range
+from repro.live.migration import TransferLedger, finish_move, prepare_move
 from repro.live.protocol import (DEADLINE, ERROR, GET, HEADER_BYTES, OVERLOADED,
                                  DeadlineError, Frame, OverloadedError,
                                  ProtocolError, ServerError, encode,
                                  error_from_reply)
 from repro.live.server import AdmissionGate, LiveCacheServer
+from tests.conftest import FakeDest, FakeSource
 
 NO_RETRY = RetryPolicy(max_attempts=1, deadline_s=2.0,
                        base_delay_s=0.001, max_delay_s=0.001)
@@ -233,75 +234,60 @@ class TestTransferLedger:
         assert led.pending == 2
 
 
-# ===================================================== migrate_range unit
+# ================================================== two-phase range move
 
 
-class _FakeSource:
-    """In-memory MigrationSource with injectable crash points."""
-
-    def __init__(self, records):
-        self.records = dict(records)
-        self.ledger = TransferLedger(lease_s=30.0)
-        self.aborts = 0
-
-    def extract_prepare(self, lo, hi):
-        recs = [(k, v) for k, v in sorted(self.records.items())
-                if lo <= k <= hi]
-        return self.ledger.prepare(lo, hi, recs), recs
-
-    def extract_commit(self, token):
-        xfer = self.ledger.commit(token)
-        if xfer is None:
-            return 0
-        for key in xfer.keys:
-            self.records.pop(key, None)
-        return len(xfer.keys)
-
-    def extract_abort(self, token):
-        self.aborts += 1
-        return self.ledger.abort(token)
-
-
-class TestMigrateRange:
+class TestRangeMove:
     def test_success_moves_and_deletes(self):
-        src = _FakeSource({1: b"a", 2: b"b", 9: b"z"})
-        dest = {}
-        moved = migrate_range(src, lambda k, v: dest.__setitem__(k, v), 0, 5)
+        src = FakeSource({1: b"a", 2: b"b", 9: b"z"})
+        dest = FakeDest()
+        moved = finish_move(prepare_move(src, [(0, 5)]), dest)
         assert [k for k, _ in moved] == [1, 2]
-        assert dest == {1: b"a", 2: b"b"}
+        assert dest.store == {1: b"a", 2: b"b"}
         assert src.records == {9: b"z"}         # committed: 1,2 deleted
 
     def test_dest_failure_aborts_and_retains(self):
-        src = _FakeSource({1: b"a", 2: b"b"})
-        dest = {}
-
-        def flaky_put(key, value):
-            if key == 2:
-                raise OSError("dest died mid-copy")
-            dest[key] = value
-
-        with pytest.raises(OSError):
-            migrate_range(src, flaky_put, 0, 5)
+        src = FakeSource({1: b"a", 2: b"b"})
+        dest = FakeDest(fail_at=2)
+        with pytest.raises(ProtocolError):
+            finish_move(prepare_move(src, [(0, 5)]), dest)
         # source kept everything (abort), dest has at most duplicates
         assert src.records == {1: b"a", 2: b"b"}
-        assert src.aborts == 1
-        assert dest == {1: b"a"}                # duplicate, never loss
+        assert src.aborts == 1 and src.ledger.pending == 0
+        assert dest.store == {1: b"a"}          # duplicate, never loss
 
     def test_abort_failure_is_swallowed(self):
-        src = _FakeSource({1: b"a"})
+        src = FakeSource({1: b"a"})
 
-        def bad_abort(token):
+        def bad_abort(token, replica=False):
             raise OSError("source unreachable for abort")
 
         src.extract_abort = bad_abort
-
-        def bad_put(key, value):
-            raise OSError("dest died")
-
         # the copy failure propagates; the abort failure does not mask it
-        with pytest.raises(OSError, match="dest died"):
-            migrate_range(src, bad_put, 0, 5)
+        with pytest.raises(ProtocolError, match="died mid-copy"):
+            finish_move(prepare_move(src, [(0, 5)]), FakeDest(fail_at=1))
         assert src.records == {1: b"a"}         # lease will expire server-side
+
+    def test_failed_prepare_aborts_tokens_already_taken(self):
+        src = FakeSource({1: b"a", 7: b"g"})
+        prepare = src.extract_prepare
+
+        def refuse_second(lo, hi, replica=False):
+            if lo > 5:
+                raise OverloadedError("shed")
+            return prepare(lo, hi, replica)
+
+        src.extract_prepare = refuse_second
+        with pytest.raises(OverloadedError):
+            prepare_move(src, [(0, 5), (6, 10)])
+        assert src.aborts == 1 and src.ledger.pending == 0
+        assert src.records == {1: b"a", 7: b"g"}
+
+    def test_move_onto_its_own_source_keeps_records(self):
+        src = FakeSource({1: b"a"})
+        assert finish_move(prepare_move(src, [(0, 5)]), src) == []
+        assert src.records == {1: b"a"} and src.commits == 0
+        assert src.ledger.pending == 0
 
 
 # ================================================ typed protocol errors

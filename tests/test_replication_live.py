@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro.core.ring import ConsistentHashRing
 from repro.extensions.replication import ReplicationManager
 from repro.live.client import LiveCacheClient, LiveClusterClient
-from repro.live.migration import TransferLedger
+from repro.live.migration import finish_move, prepare_move
 from repro.live.protocol import ProtocolError
-from repro.live.replica import drain_replica_range
 from repro.live.server import LiveCacheServer
+from tests.conftest import FakeDest, FakeSource
 
 RING = 1 << 16
 
@@ -235,69 +235,22 @@ def test_replica_acked_put_readable_after_primary_kill(items):
             s.stop()
 
 
-# ==================================== drain_replica_range crash phases
+# ======================================= hinted-handoff drain crash phases
 
 
-class _FakeReplicaSource:
-    """In-memory replica namespace speaking the two-phase wire surface."""
-
-    def __init__(self, records):
-        self.records = dict(records)
-        self.ledger = TransferLedger(lease_s=30.0)
-        self.aborts = 0
-        self.commits = 0
-
-    def extract_prepare(self, lo, hi, replica=False):
-        assert replica, "drain must target the replica namespace"
-        recs = [(k, v) for k, v in sorted(self.records.items())
-                if lo <= k <= hi]
-        return self.ledger.prepare(lo, hi, recs), recs
-
-    def extract_commit(self, token, replica=False):
-        assert replica
-        self.commits += 1
-        xfer = self.ledger.commit(token)
-        if xfer is None:
-            return 0
-        for key in xfer.keys:
-            self.records.pop(key, None)
-        return len(xfer.keys)
-
-    def extract_abort(self, token, replica=False):
-        assert replica
-        self.aborts += 1
-        return self.ledger.abort(token)
-
-
-class _FakeHome:
-    """Destination primary store honouring ``if_absent``."""
-
-    def __init__(self, resident=(), fail_at=None):
-        self.store = dict(resident)
-        self.fail_at = fail_at
-
-    def multi_put(self, records, if_absent=False):
-        from repro.live.client import MultiPutResult
-        result = MultiPutResult()
-        for key, value in records:
-            if key == self.fail_at:
-                result.error = ProtocolError("home died mid-copy")
-                return result
-            if if_absent and key in self.store:
-                result.skipped.append(key)
-                continue
-            self.store[key] = value
-            result.stored.append(key)
-        return result
+def drain(src, home, lo, hi):
+    """One claim's drain, as :meth:`ReplicaManager.drain` runs it: a range
+    move out of the buddy's replica namespace into ``home``."""
+    return finish_move(prepare_move(src, [(lo, hi)], replica=True), home)
 
 
 class TestDrainCrashPhases:
     HINTS = {1: b"a", 2: b"b", 7: b"g"}
 
     def test_clean_drain_moves_hints_home(self):
-        src = _FakeReplicaSource(self.HINTS)
-        home = _FakeHome()
-        stored = drain_replica_range(src, home, 0, 10)
+        src = FakeSource(self.HINTS, replica=True)
+        home = FakeDest()
+        stored = drain(src, home, 0, 10)
         assert dict(stored) == self.HINTS
         assert home.store == self.HINTS
         assert src.records == {}          # committed: hints deleted
@@ -305,9 +258,9 @@ class TestDrainCrashPhases:
     def test_interim_migration_wins_over_hint(self):
         # Key 2 already came home (newer) via the interim migration;
         # the drain must not clobber it, and must not re-account it.
-        src = _FakeReplicaSource(self.HINTS)
-        home = _FakeHome(resident={2: b"newer"})
-        stored = drain_replica_range(src, home, 0, 10)
+        src = FakeSource(self.HINTS, replica=True)
+        home = FakeDest(resident={2: b"newer"})
+        stored = drain(src, home, 0, 10)
         assert dict(stored) == {1: b"a", 7: b"g"}
         assert home.store[2] == b"newer"
 
@@ -315,10 +268,10 @@ class TestDrainCrashPhases:
         # Phase: copy fails mid-batch.  The prepare is aborted (records
         # retained at the buddy) and the error propagates — a retried
         # drain starts clean and loses nothing.
-        src = _FakeReplicaSource(self.HINTS)
-        home = _FakeHome(fail_at=2)
+        src = FakeSource(self.HINTS, replica=True)
+        home = FakeDest(fail_at=2)
         with pytest.raises(ProtocolError):
-            drain_replica_range(src, home, 0, 10)
+            drain(src, home, 0, 10)
         assert src.records == self.HINTS
         assert src.aborts == 1 and src.commits == 0
 
@@ -327,22 +280,22 @@ class TestDrainCrashPhases:
         # lease releases the snapshot (abort stands in for expiry —
         # same ledger path) and the hints are still there for the
         # re-drain.
-        src = _FakeReplicaSource(self.HINTS)
+        src = FakeSource(self.HINTS, replica=True)
         token, _ = src.extract_prepare(0, 10, replica=True)
         src.ledger.abort(token)
         assert src.records == self.HINTS
-        stored = drain_replica_range(src, _FakeHome(), 0, 10)
+        stored = drain(src, FakeDest(), 0, 10)
         assert dict(stored) == self.HINTS
 
     def test_replay_after_partial_copy_is_idempotent(self):
         # Phase: copy applied, commit lost.  The re-drain re-copies
         # (if_absent skips the applied prefix) and finally commits.
-        src = _FakeReplicaSource(self.HINTS)
-        home = _FakeHome()
+        src = FakeSource(self.HINTS, replica=True)
+        home = FakeDest()
         token, records = src.extract_prepare(0, 10, replica=True)
         home.multi_put(records, if_absent=True)     # copy landed...
         src.ledger.abort(token)                     # ...commit lost
-        stored = drain_replica_range(src, home, 0, 10)
+        stored = drain(src, home, 0, 10)
         assert stored == []                 # everything already home
         assert home.store == self.HINTS
         assert src.records == {}
