@@ -7,10 +7,14 @@ textbook order-``t`` B+-tree with the one property Algorithm 2 requires:
 search for the start key followed by a linear walk.
 
 :class:`~repro.sfc.btwo.BSquareTree` layers space-filling-curve key
-linearization on top of this tree to form the paper's B²-tree.
+linearization on top of this tree to form the paper's B²-tree, and
+:class:`~repro.btree.store.NodeStore` puts a point index and byte
+accounting around it: one cache node's records, in the simulator and the
+live server alike.
 """
 
 from repro.btree.bplustree import BPlusTree
+from repro.btree.store import NodeStore
 from repro.btree.sweep import sweep_range
 
-__all__ = ["BPlusTree", "sweep_range"]
+__all__ = ["BPlusTree", "NodeStore", "sweep_range"]

@@ -154,9 +154,9 @@ class BPlusTree:
     def kth_key(self, k: int):
         """Return the ``k``-th smallest key (0-based).
 
-        Used by GBA to find the median key ``k^μ`` of a bucket range.  This
-        walks the leaf chain — ``O(k / order)`` leaf hops — which matches
-        the sweep cost already paid on the migration path.
+        A whole-tree order statistic (GBA's per-range median is
+        :meth:`repro.btree.store.NodeStore.kth_key`).  This walks the
+        leaf chain: ``O(k / order)`` leaf hops.
         """
         if not 0 <= k < self._size:
             raise IndexError(f"kth_key({k}) out of range for size {self._size}")

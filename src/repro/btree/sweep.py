@@ -3,8 +3,9 @@
 "Recalling that leaf nodes are arranged as a key-sorted linked list in
 B+-Trees, a sweep on the leaf level is performed until ``k_end`` has been
 reached."  :func:`sweep_range` yields the records in ``[k_start, k_end]``
-without mutating the tree; callers (``CacheNode.sweep_migrate``) delete the
-swept keys afterwards so the iterator never races its own deletions.
+without mutating the tree; callers (:meth:`repro.btree.store.NodeStore.sweep`)
+materialize it before deleting swept keys, so the iterator never races its
+own deletions.
 """
 
 from __future__ import annotations

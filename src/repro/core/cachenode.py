@@ -1,18 +1,16 @@
-"""One cooperative cache node: capacity accounting over a B+-tree index.
+"""One cooperative cache node: a :class:`~repro.btree.store.NodeStore` on a
+provisioned cloud instance.
 
-The tree is keyed by **hash-line position** ``h'(k)`` (see
+The store is keyed by **hash-line position** ``h'(k)`` (see
 :mod:`repro.core.ring`): with the paper's order-preserving ``h'``, tree
 order equals key order equals hash-line order, so a bucket's records occupy
-one contiguous leaf range — exactly what Algorithm 2's sweep walks.
+one contiguous leaf range — exactly what Algorithm 2's sweep walks.  Each
+value is a :class:`~repro.core.record.CacheRecord`, charged its ``nbytes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
-
-from repro.btree.bplustree import BPlusTree
-from repro.btree.sweep import sweep_range
+from repro.btree.store import NodeStore
 from repro.cloud.instance import CloudNode
 from repro.core.record import CacheRecord
 
@@ -21,118 +19,39 @@ class CapacityError(RuntimeError):
     """Raised when a record cannot fit anywhere (e.g. larger than ``⌈n⌉``)."""
 
 
-@dataclass
-class CacheNode:
+class CacheNode(NodeStore):
     """A cloud node's slice of the cooperative cache.
 
-    Attributes
-    ----------
-    cloud_node:
-        The underlying provisioned instance.
-    capacity_bytes:
-        ``⌈n⌉`` — total record capacity on this node.
-    used_bytes:
-        ``||n||`` — bytes currently occupied by cached records.
+    ``capacity_bytes`` is ``⌈n⌉`` and ``used_bytes`` is ``||n||``.
     """
 
-    cloud_node: CloudNode
-    capacity_bytes: int
-    btree_order: int = 64
-    used_bytes: int = 0
-    tree: BPlusTree = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.tree = BPlusTree(order=self.btree_order)
-
-    # ------------------------------------------------------------- queries
+    def __init__(self, cloud_node: CloudNode, capacity_bytes: int,
+                 order: int = 64) -> None:
+        super().__init__(capacity_bytes, order)
+        self.cloud_node = cloud_node
 
     @property
     def node_id(self) -> str:
         """The provider id of the backing instance."""
         return self.cloud_node.node_id
 
-    def __len__(self) -> int:
-        return len(self.tree)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CacheNode({self.node_id}, {len(self.tree)} recs, "
+            f"CacheNode({self.node_id}, {len(self)} recs, "
             f"{self.used_bytes}/{self.capacity_bytes} B)"
         )
 
-    @property
-    def free_bytes(self) -> int:
-        """``⌈n⌉ - ||n||``."""
-        return self.capacity_bytes - self.used_bytes
-
-    def fits(self, nbytes: int) -> bool:
-        """Alg. 1 line 5: would ``nbytes`` more stay within capacity?"""
-        return self.used_bytes + nbytes <= self.capacity_bytes
-
-    def search(self, hkey: int) -> CacheRecord | None:
-        """Return the record stored at hash position ``hkey``, if any."""
-        return self.tree.search(hkey)
-
-    def records_in(self, h_lo: int, h_hi: int) -> Iterator[CacheRecord]:
-        """Yield records with ``h_lo <= hkey <= h_hi`` in hash order."""
-        for _, record in sweep_range(self.tree, h_lo, h_hi):
-            yield record
-
-    def count_in(self, h_lo: int, h_hi: int) -> int:
-        """Number of records in the inclusive hash range."""
-        return self.tree.count_range(h_lo, h_hi)
-
-    # ------------------------------------------------------------ mutation
-
     def insert(self, record: CacheRecord) -> None:
-        """Store a record.  The caller must have verified :meth:`fits`.
+        """Store a record at its ``hkey``; an overwrite refunds the old
+        footprint first.
 
-        Overwrites of an existing ``hkey`` release the old footprint first
-        (derived results are deterministic, so overwrites are idempotent
-        refreshes, but sizes may differ across service versions).
+        Raises
+        ------
+        CapacityError
+            If it does not fit (the node is left unchanged).
         """
-        existing = self.tree.search(record.hkey)
-        if existing is not None:
-            self.used_bytes -= existing.nbytes
-        if not self.fits(record.nbytes):
-            self.used_bytes += existing.nbytes if existing is not None else 0
+        if self.put(record.hkey, record) is None:
             raise CapacityError(
                 f"{self.node_id}: {record.nbytes} B record overflows "
                 f"{self.free_bytes} B free"
             )
-        self.tree.insert(record.hkey, record)
-        self.used_bytes += record.nbytes
-
-    def delete(self, hkey: int) -> CacheRecord:
-        """Remove and return the record at ``hkey``.
-
-        Raises
-        ------
-        KeyError
-            If no record lives at ``hkey``.
-        """
-        record: CacheRecord = self.tree.delete(hkey)
-        self.used_bytes -= record.nbytes
-        return record
-
-    def extract_range(self, h_lo: int, h_hi: int) -> list[CacheRecord]:
-        """Sweep and *remove* all records in the inclusive hash range.
-
-        This is the node-local half of Algorithm 2: collect via the leaf
-        chain, then delete.  Returns the extracted records in hash order.
-        """
-        victims = [rec for _, rec in sweep_range(self.tree, h_lo, h_hi)]
-        for rec in victims:
-            self.tree.delete(rec.hkey)
-            self.used_bytes -= rec.nbytes
-        return victims
-
-    def check_accounting(self) -> None:
-        """Assert ``used_bytes`` equals the sum of stored record sizes."""
-        total = sum(rec.nbytes for _, rec in self.tree.items())
-        assert total == self.used_bytes, (
-            f"{self.node_id}: used_bytes={self.used_bytes} but records sum to {total}"
-        )
-        assert self.used_bytes <= self.capacity_bytes, f"{self.node_id} over capacity"

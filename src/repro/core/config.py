@@ -30,8 +30,6 @@ class CacheConfig:
         Override for ``⌈n⌉``.  ``None`` uses the instance type's usable
         memory; experiments set small capacities so the scaled keyspace
         exercises overflow exactly like the paper's 1.7 GB nodes did.
-    btree_order:
-        Fan-out of each node's B+-tree index.
     initial_nodes:
         Cooperative cache size at cold start (the paper starts at 1).
     greedy:
@@ -45,7 +43,6 @@ class CacheConfig:
     ring_range: int = 1 << 16
     hash_mode: str = "identity"
     node_capacity_bytes: int | None = None
-    btree_order: int = 64
     initial_nodes: int = 1
     greedy: bool = True
     max_insert_retries: int = 8

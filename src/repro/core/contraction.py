@@ -100,16 +100,15 @@ class Contractor:
 
     def _merge(self, src: CacheNode, dest: CacheNode) -> MergeEvent:
         """Drain ``src`` into ``dest``, repoint its buckets, release it."""
-        records = [rec for _, rec in src.tree.items()]
-        bytes_moved = sum(r.nbytes for r in records)
+        records = [rec for _, rec in src.items()]
+        bytes_moved = src.used_bytes
 
         migration_s = self.network.transfer_time(bytes_moved, len(records))
         self.clock.advance(migration_s)
 
         for rec in records:
-            src.delete(rec.hkey)
+            src.pop(rec.hkey)
             dest.insert(rec)
-        # Bucket loads travel with the buckets — reassign, don't recount.
         for pos in self.ring.buckets_of(src):
             self.ring.reassign_bucket(pos, dest)
 

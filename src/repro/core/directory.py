@@ -84,8 +84,7 @@ class DirectoryCache:
         simply starts placing onto it)."""
         cloud_node = self.cloud.allocate(self.itype, block=True)
         capacity = self.config.node_capacity_bytes or self.itype.usable_bytes
-        node = CacheNode(cloud_node=cloud_node, capacity_bytes=capacity,
-                         btree_order=self.config.btree_order)
+        node = CacheNode(cloud_node, capacity)
         self.nodes.append(node)
         return node
 
@@ -100,7 +99,7 @@ class DirectoryCache:
         node = self.directory.get(key)
         if node is None:
             return None
-        record = node.search(key)
+        record = node.get(key)
         if record is not None:
             self.lru.touch(key)
         return record
@@ -112,7 +111,7 @@ class DirectoryCache:
         """
         existing = self.directory.get(key)
         if existing is not None:
-            existing.delete(key)
+            existing.pop(key)
             self.lru.discard(key)
             del self.directory[key]
 
@@ -127,7 +126,7 @@ class DirectoryCache:
                 while not node.fits(nbytes):
                     victim_key = self.lru.pop_victim()
                     owner = self.directory.pop(victim_key)
-                    owner.delete(victim_key)
+                    owner.pop(victim_key)
                     self.lru_evictions += 1
                     node = min(self.nodes,
                                key=lambda n: (n.used_bytes, n.node_id))
@@ -144,7 +143,7 @@ class DirectoryCache:
             node = self.directory.pop(key, None)
             if node is None:
                 continue
-            node.delete(key)
+            node.pop(key)
             self.lru.discard(key)
             removed += 1
         return removed
@@ -208,9 +207,8 @@ class DirectoryCache:
         """Directory and node contents must agree exactly."""
         seen = 0
         for node in self.nodes:
-            node.tree.check_invariants()
-            node.check_accounting()
-            for _, rec in node.tree.items():
+            node.check()
+            for _, rec in node.items():
                 assert self.directory.get(rec.key) is node, (
                     f"record {rec.key} on {node.node_id} but directory says "
                     f"{getattr(self.directory.get(rec.key), 'node_id', None)}"

@@ -6,9 +6,10 @@ high-level ``get``/``put`` interface hiding victimization, replacement,
 resource management, and data movement.
 
 Wiring: a :class:`~repro.core.ring.ConsistentHashRing` routes keys, each
-node indexes its slice in a B+-tree, :class:`~repro.core.gba.GreedyBucketAllocator`
-handles overflow splits, :class:`~repro.core.sliding_window.SlidingWindowEvictor`
-scores eviction candidates at slice expiry, and
+node holds its slice in a :class:`~repro.btree.store.NodeStore`,
+:class:`~repro.core.gba.GreedyBucketAllocator` handles overflow splits,
+:class:`~repro.core.sliding_window.SlidingWindowEvictor` scores eviction
+candidates at slice expiry, and
 :class:`~repro.core.contraction.Contractor` merges superfluous nodes to cut
 cost.
 """
@@ -132,17 +133,13 @@ class ElasticCooperativeCache:
             cloud_node = self._node_source()
         else:
             cloud_node = self.cloud.allocate(self.itype, block=True)
-        node = CacheNode(
-            cloud_node=cloud_node,
-            capacity_bytes=self._node_capacity(),
-            btree_order=self.config.btree_order,
-        )
+        node = CacheNode(cloud_node, self._node_capacity())
         self.nodes.append(node)
         return node
 
     def _release_node(self, node: CacheNode) -> None:
         """Unregister a drained node and terminate its instance."""
-        if node.used_bytes or len(node.tree):
+        if node.used_bytes or len(node):
             raise RuntimeError(f"refusing to release non-empty {node.node_id}")
         self.nodes.remove(node)
         self.cloud.terminate(node.cloud_node)
@@ -150,10 +147,10 @@ class ElasticCooperativeCache:
     # ----------------------------------------------------------- data path
 
     def get(self, key: int) -> CacheRecord | None:
-        """Cache search: B+-tree lookup on the node referenced by ``h(k)``."""
+        """Cache search: a lookup on the node referenced by ``h(k)``."""
         hkey = self.ring.hash_key(key)
         node: CacheNode = self.ring.node_for_hkey(hkey)
-        return node.search(hkey)
+        return node.get(hkey)
 
     def put(self, key: int, value, nbytes: int) -> list[SplitEvent]:
         """GBA-insert a derived result; returns any splits it triggered."""
@@ -169,12 +166,8 @@ class ElasticCooperativeCache:
         for key in keys:
             hkey = self.ring.hash_key(key)
             node: CacheNode = self.ring.node_for_hkey(hkey)
-            record = node.search(hkey)
-            if record is None:
-                continue
-            node.delete(hkey)
-            self.ring.record_delete(hkey, record.nbytes)
-            removed += 1
+            if node.pop(hkey) is not None:
+                removed += 1
         return removed
 
     # ------------------------------------------------------- stream hooks
@@ -238,14 +231,11 @@ class ElasticCooperativeCache:
         }
 
     def check_integrity(self) -> None:
-        """Deep structural check (tests): trees, accounting, routing."""
+        """Deep structural check (tests): stores, routing."""
         for node in self.nodes:
-            node.tree.check_invariants()
-            node.check_accounting()
-        self.ring.check_accounting(self.nodes)
-        # Every cached record must be routed back to the node holding it.
-        for node in self.nodes:
-            for _, rec in node.tree.items():
+            node.check()
+            # Every cached record must be routed back to the node holding it.
+            for _, rec in node.items():
                 owner = self.ring.node_for_hkey(rec.hkey)
                 assert owner is node, (
                     f"record {rec.key} stored on {node.node_id} but ring "

@@ -27,8 +27,21 @@ from repro.cloud.network import NetworkModel
 from repro.core.cachenode import CacheNode, CapacityError
 from repro.core.config import CacheConfig
 from repro.core.record import CacheRecord
-from repro.core.ring import ConsistentHashRing
+from repro.core.ring import ConsistentHashRing, RingError
 from repro.sim.clock import SimClock
+
+
+def fullest_bucket(ring: ConsistentHashRing, node: CacheNode) -> int:
+    """Alg. 1 line 10: ``argmax_{b_i} ||b_i||`` with ``NodeMap[b_i] = n``.
+
+    ``||b_i||`` is summed from the node's store over the bucket's
+    interval.  Ties break toward the lowest position, deterministically.
+    """
+    positions = ring.buckets_of(node)
+    if not positions:
+        raise RingError(f"node {node!r} owns no buckets")
+    return max(positions, key=lambda b: (
+        sum(node.bytes_in(lo, hi) for lo, hi in ring.interval_segments(b)), -b))
 
 
 @dataclass(frozen=True)
@@ -106,22 +119,16 @@ class GreedyBucketAllocator:
     # ------------------------------------------------------------- insert
 
     def insert(self, record: CacheRecord) -> list[SplitEvent]:
-        """Algorithm 1.  Returns the splits this insert triggered (if any)."""
+        """Algorithm 1.  Returns the splits this insert triggered (if any).
+
+        An existing record at the same ``hkey`` is replaced: the node's
+        store refunds its bytes before checking the fit.
+        """
         events: list[SplitEvent] = []
         for _ in range(self.config.max_insert_retries):
             node: CacheNode = self.ring.node_for_hkey(record.hkey)
-
-            # Refresh path: an existing record at this hkey is replaced.
-            existing = node.search(record.hkey)
-            if existing is not None:
-                node.delete(record.hkey)
-                self.ring.record_delete(record.hkey, existing.nbytes)
-
-            if node.fits(record.nbytes):
-                node.insert(record)
-                self.ring.record_insert(record.hkey, record.nbytes)
+            if node.put(record.hkey, record) is not None:
                 return events
-
             # Line 7: n overflows — split and retry under the new structure.
             events.append(self._split(node, pending=record))
         raise CapacityError(
@@ -140,10 +147,11 @@ class GreedyBucketAllocator:
         the full bucket somewhere equally full (a ping-pong hypothesis
         found with single-record buckets on 75 %-full nodes).
         """
-        b_max = self.ring.fullest_bucket_of(node)
+        b_max = fullest_bucket(self.ring, node)
         segments = self.ring.interval_segments(b_max)
 
-        total = sum(node.count_in(lo, hi) for lo, hi in segments)
+        counts = [node.count_in(lo, hi) for lo, hi in segments]
+        total = sum(counts)
         if total == 0:
             raise CapacityError(
                 f"{node.node_id} overflows with an empty fullest bucket: "
@@ -153,8 +161,12 @@ class GreedyBucketAllocator:
         # k^μ: the median of the bucket's records in hash order; we move
         # [min(b_max), k^μ] — "approximately half the keys ... from the
         # lowest key to the median".
-        move_count = (total + 1) // 2
-        split_hkey = self._kth_hkey_in(node, segments, move_count - 1)
+        k = (total + 1) // 2 - 1
+        for (lo, hi), count in zip(segments, counts):
+            if k < count:
+                split_hkey = node.kth_key(lo, hi, k)
+                break
+            k -= count
 
         # Phase 1 (prepare): snapshot the victim set *without* mutating —
         # this is the sim mirror of the live protocol's extract_prepare
@@ -167,7 +179,7 @@ class GreedyBucketAllocator:
         for lo, hi in segments:
             covers_split = not degenerate and lo <= split_hkey <= hi
             seg_hi = split_hkey if covers_split else hi
-            preview.extend(node.records_in(lo, seg_hi))
+            preview.extend(rec for _, rec in node.sweep(lo, seg_hi))
             if pending is not None and lo <= pending.hkey <= seg_hi:
                 pending_follows = True
             if covers_split:
@@ -201,26 +213,12 @@ class GreedyBucketAllocator:
             # Degenerate split (single-record bucket at the bucket position):
             # reassign the entire bucket instead of inserting a duplicate.
             self.ring.reassign_bucket(b_max, dest)
-            removed = 0
-            for lo, hi in segments:
-                removed += len(node.extract_range(lo, hi))
             new_bucket: int | None = None
         else:
             new_bucket = split_hkey
             self.ring.add_bucket(new_bucket, dest)
-            self.ring.transfer_load(b_max, new_bucket, bytes_moved,
-                                    len(victims))
-            # Take segments in circular order up to and including k^μ.
-            removed = 0
-            for lo, hi in segments:
-                if lo <= split_hkey <= hi:
-                    removed += len(node.extract_range(lo, split_hkey))
-                    break
-                removed += len(node.extract_range(lo, hi))
-        assert removed == len(victims), (
-            f"split commit removed {removed} records from {node.node_id} "
-            f"but copied {len(victims)}"
-        )
+        for rec in victims:
+            node.pop(rec.hkey)
 
         event = SplitEvent(
             step=self.clock.step,
@@ -238,22 +236,6 @@ class GreedyBucketAllocator:
         if self.on_split is not None:
             self.on_split(event)
         return event
-
-    @staticmethod
-    def _kth_hkey_in(node: CacheNode, segments: list[tuple[int, int]], k: int) -> int:
-        """Hash position of the ``k``-th (0-based) record across segments.
-
-        Segments arrive in circular order from
-        :meth:`~repro.core.ring.ConsistentHashRing.interval_segments`; with
-        the sentinel bucket there is exactly one.
-        """
-        remaining = k
-        for lo, hi in segments:
-            for rec in node.records_in(lo, hi):
-                if remaining == 0:
-                    return rec.hkey
-                remaining -= 1
-        raise IndexError(f"bucket holds fewer than {k + 1} records")
 
     def _choose_destination(
         self, src: CacheNode, nbytes: int

@@ -34,3 +34,8 @@ class CacheRecord:
     def __post_init__(self) -> None:
         if self.nbytes <= 0:
             raise ValueError(f"record footprint must be positive, got {self.nbytes}")
+
+    def __len__(self) -> int:
+        """``nbytes``: the size a :class:`~repro.btree.store.NodeStore`
+        charges.  Always positive, so a record stays truthy."""
+        return self.nbytes

@@ -9,11 +9,10 @@ by the bucket at ``h'(k)``'s *closest upper* position (circular), i.e.::
 implemented as a binary search over the sorted bucket positions — the
 ``O(log₂ p)`` the paper's ``T_GBA`` analysis assumes.
 
-The ring also owns **per-bucket load accounting** (bytes and record counts),
-which Algorithm 1 line 10 needs to find "the fullest bucket referencing
-``n``".  Loads are maintained incrementally by the insert/delete/migrate
-paths; :meth:`check_accounting` cross-checks them against the node trees in
-tests.
+The ring holds positions and owners only.  It keeps no record of what a
+bucket holds: the node's store does, and Algorithm 1 line 10's "fullest
+bucket referencing ``n``" is summed from it at split time (see
+:func:`repro.core.gba.fullest_bucket`).
 
 Practical note: :class:`~repro.core.elastic.ElasticCooperativeCache` pins a
 **sentinel bucket at position r-1** on the initial node, so every bucket's
@@ -27,7 +26,7 @@ tested.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.sim.rng import stable_key_hash
 
@@ -75,8 +74,6 @@ class ConsistentHashRing:
         self.hash_mode = hash_mode
         self.buckets: list[int] = []  #: sorted bucket positions, the paper's B
         self.node_map: dict[int, "CacheNode | object"] = {}  #: NodeMap[b] = n
-        self.bucket_bytes: dict[int, int] = {}  #: ||b_i|| load accounting
-        self.bucket_records: dict[int, int] = {}
 
     # ---------------------------------------------------------------- hash
 
@@ -117,33 +114,27 @@ class ConsistentHashRing:
     # ------------------------------------------------------------- buckets
 
     def add_bucket(self, pos: int, node) -> None:
-        """Introduce a bucket at ``pos`` referencing ``node`` (load zero)."""
+        """Introduce a bucket at ``pos`` referencing ``node``."""
         if not 0 <= pos < self.ring_range:
             raise RingError(f"bucket position {pos} outside [0, {self.ring_range})")
         if pos in self.node_map:
             raise RingError(f"bucket {pos} already exists")
         insort(self.buckets, pos)
         self.node_map[pos] = node
-        self.bucket_bytes[pos] = 0
-        self.bucket_records[pos] = 0
 
     def remove_bucket(self, pos: int) -> None:
         """Drop the bucket at ``pos``; its interval folds into the successor.
 
-        The caller is responsible for having migrated the bucket's records
-        first (its load must be zero).
+        Whatever the bucket's node holds in the interval is routed to the
+        successor's node from then on; moving those records is the caller's.
         """
         if pos not in self.node_map:
             raise RingError(f"no bucket at {pos}")
-        if self.bucket_records[pos]:
-            raise RingError(f"bucket {pos} still holds {self.bucket_records[pos]} records")
         if len(self.buckets) == 1:
             raise RingError("cannot remove the last bucket")
         idx = bisect_left(self.buckets, pos)
         self.buckets.pop(idx)
         del self.node_map[pos]
-        del self.bucket_bytes[pos]
-        del self.bucket_records[pos]
 
     def reassign_bucket(self, pos: int, node) -> None:
         """Point an existing bucket at a different node (whole-bucket move)."""
@@ -208,50 +199,6 @@ class ConsistentHashRing:
             return segments
         return [(self.buckets[idx - 1] + 1, pos)]
 
-    # ---------------------------------------------------------- accounting
-
-    def record_insert(self, hkey: int, nbytes: int) -> int:
-        """Charge one inserted record to its bucket; returns the bucket."""
-        pos = self.bucket_for_hkey(hkey)
-        self.bucket_bytes[pos] += nbytes
-        self.bucket_records[pos] += 1
-        return pos
-
-    def record_delete(self, hkey: int, nbytes: int) -> int:
-        """Release one deleted record from its bucket; returns the bucket."""
-        pos = self.bucket_for_hkey(hkey)
-        self.bucket_bytes[pos] -= nbytes
-        self.bucket_records[pos] -= 1
-        if self.bucket_bytes[pos] < 0 or self.bucket_records[pos] < 0:
-            raise RingError(f"bucket {pos} accounting went negative")
-        return pos
-
-    def transfer_load(self, src: int, dst: int, nbytes: int, nrecords: int) -> None:
-        """Move accounted load between buckets (used by splits)."""
-        for pos in (src, dst):
-            if pos not in self.node_map:
-                raise RingError(f"no bucket at {pos}")
-        self.bucket_bytes[src] -= nbytes
-        self.bucket_records[src] -= nrecords
-        self.bucket_bytes[dst] += nbytes
-        self.bucket_records[dst] += nrecords
-        if self.bucket_bytes[src] < 0 or self.bucket_records[src] < 0:
-            raise RingError(f"bucket {src} accounting went negative")
-
-    def fullest_bucket_of(self, node) -> int:
-        """Alg. 1 line 10: ``argmax_{b_i} ||b_i||`` with ``NodeMap[b_i] = n``.
-
-        Ties break toward the lowest position, deterministically.
-        """
-        positions = self.buckets_of(node)
-        if not positions:
-            raise RingError(f"node {node!r} owns no buckets")
-        return max(positions, key=lambda b: (self.bucket_bytes[b], -b))
-
-    def node_bytes(self, node) -> int:
-        """Accounted bytes across all of ``node``'s buckets."""
-        return sum(self.bucket_bytes[b] for b in self.buckets_of(node))
-
     def nodes(self) -> list:
         """Distinct nodes currently referenced by the ring (stable order)."""
         seen: list = []
@@ -260,12 +207,3 @@ class ConsistentHashRing:
             if all(node is not s for s in seen):
                 seen.append(node)
         return seen
-
-    def check_accounting(self, nodes: Iterable) -> None:
-        """Assert bucket loads agree with node-level usage (test hook)."""
-        for node in nodes:
-            accounted = self.node_bytes(node)
-            actual = node.used_bytes
-            assert accounted == actual, (
-                f"ring accounts {accounted} bytes for {node!r}, node reports {actual}"
-            )

@@ -53,7 +53,7 @@ def snapshot(cache: ElasticCooperativeCache) -> CacheSnapshot:
     }
     node_records = [
         [(rec.key, rec.hkey, rec.nbytes, rec.value)
-         for _, rec in node.tree.items()]
+         for _, rec in node.items()]
         for node in cache.nodes
     ]
     return CacheSnapshot(
@@ -101,8 +101,6 @@ def restore_cache(snap: CacheSnapshot, *, cloud: SimulatedCloud,
     # Replace the constructor's default bucket layout with the snapshot's.
     cache.ring.buckets.clear()
     cache.ring.node_map.clear()
-    cache.ring.bucket_bytes.clear()
-    cache.ring.bucket_records.clear()
     for pos, node_idx in sorted(snap.bucket_map.items()):
         cache.ring.add_bucket(pos, cache.nodes[node_idx])
 
@@ -110,7 +108,6 @@ def restore_cache(snap: CacheSnapshot, *, cloud: SimulatedCloud,
         for key, hkey, nbytes, value in records:
             node.insert(CacheRecord(key=key, hkey=hkey, value=value,
                                     nbytes=nbytes))
-            cache.ring.record_insert(hkey, nbytes)
     cache.check_integrity()
     return cache
 

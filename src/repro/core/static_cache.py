@@ -62,10 +62,7 @@ class StaticCooperativeCache:
         for _ in range(n_nodes):
             cloud_node = cloud.allocate(self.itype, block=True)
             capacity = config.node_capacity_bytes or self.itype.usable_bytes
-            self.nodes.append(
-                CacheNode(cloud_node=cloud_node, capacity_bytes=capacity,
-                          btree_order=config.btree_order)
-            )
+            self.nodes.append(CacheNode(cloud_node, capacity))
             self.lru.append(LRUTracker())
 
     # ---------------------------------------------------------- placement
@@ -85,7 +82,7 @@ class StaticCooperativeCache:
         """Lookup; touches LRU recency on hit."""
         idx = self._node_index(key)
         hkey = self._hash(key)
-        record = self.nodes[idx].search(hkey)
+        record = self.nodes[idx].get(hkey)
         if record is not None:
             self.lru[idx].touch(hkey)
         return record
@@ -100,9 +97,7 @@ class StaticCooperativeCache:
         lru = self.lru[idx]
         hkey = self._hash(key)
 
-        existing = node.search(hkey)
-        if existing is not None:
-            node.delete(hkey)
+        if node.pop(hkey) is not None:
             lru.discard(hkey)
 
         if nbytes > node.capacity_bytes:
@@ -111,8 +106,7 @@ class StaticCooperativeCache:
                 f"{node.capacity_bytes} B; static caches cannot split"
             )
         while not node.fits(nbytes):
-            victim = lru.pop_victim()
-            node.delete(victim)
+            node.pop(lru.pop_victim())
             self.lru_evictions += 1
 
         node.insert(CacheRecord(key=key, hkey=hkey, value=value, nbytes=nbytes))
@@ -147,10 +141,7 @@ class StaticCooperativeCache:
         while len(self.nodes) < n_nodes:
             cloud_node = self.cloud.allocate(self.itype, block=True)
             capacity = self.config.node_capacity_bytes or self.itype.usable_bytes
-            self.nodes.append(
-                CacheNode(cloud_node=cloud_node, capacity_bytes=capacity,
-                          btree_order=self.config.btree_order)
-            )
+            self.nodes.append(CacheNode(cloud_node, capacity))
             self.lru.append(LRUTracker())
 
         def placement(key: int) -> int:
@@ -165,9 +156,9 @@ class StaticCooperativeCache:
         moved = 0
         relocations: list[CacheRecord] = []
         for idx, node in enumerate(self.nodes[:old_n]):
-            for _, rec in list(node.tree.items()):
+            for _, rec in node.items():
                 if placement(rec.key) != idx:
-                    node.delete(rec.hkey)
+                    node.pop(rec.hkey)
                     self.lru[idx].discard(rec.hkey)
                     relocations.append(rec)
 
@@ -175,7 +166,7 @@ class StaticCooperativeCache:
             new_idx = placement(rec.key)
             dest, dest_lru = self.nodes[new_idx], self.lru[new_idx]
             while not dest.fits(rec.nbytes):
-                dest.delete(dest_lru.pop_victim())
+                dest.pop(dest_lru.pop_victim())
                 self.lru_evictions += 1
             dest.insert(rec)
             dest_lru.touch(rec.hkey)

@@ -88,7 +88,7 @@ class ReplicationManager:
         self.replicas.clear()
         count = 0
         for node in self.cache.nodes:
-            for _, rec in node.tree.items():
+            for _, rec in node.items():
                 buddy = self.buddy_for_hkey(rec.hkey)
                 if buddy is None:
                     continue
@@ -115,9 +115,8 @@ class ReplicationManager:
         """Simulate losing ``node``: drop its primaries (and its replica
         store) without migration.  Returns records lost from primaries."""
         lost = len(node)
-        for rec in [r for _, r in node.tree.items()]:
-            node.delete(rec.hkey)
-            self.cache.ring.record_delete(rec.hkey, rec.nbytes)
+        for hkey, _ in node.items():
+            node.pop(hkey)
         # Bucket ownership folds into a surviving node.
         survivors = [n for n in self.cache.nodes if n is not node]
         if not survivors:
@@ -142,7 +141,7 @@ class ReplicationManager:
         for store in list(self.replicas.values()):
             for hkey, rec in list(store.items()):
                 owner: CacheNode = self.cache.ring.node_for_hkey(hkey)
-                if owner.search(hkey) is None:
+                if hkey not in owner:
                     self.cache.put(rec.key, rec.value, rec.nbytes)
                     recovered += 1
         self.recovered_records += recovered

@@ -138,8 +138,7 @@ class SimFaultInjector:
         later ``recover`` comes back cold (no stale resurrection)."""
         nodes = self.cache.nodes
         node = nodes[slot_raw % len(nodes)]
-        victims = [rec.key
-                   for rec in node.records_in(0, self.cache.ring.ring_range - 1)]
+        victims = [rec.key for _, rec in node.items()]
         self.stats.lost_records += self.cache.evict_keys(victims)
 
     def op_faulted(self, key: int, op: str) -> bool:

@@ -587,7 +587,14 @@ class LiveCacheClient:
         return records
 
     def stats(self) -> dict:
-        """Server-side counters (store + admission gate + transfers)."""
+        """Server-side counters (store + admission gate + transfers).
+
+        ``multi_ops``, ``batched_keys`` and ``max_batch`` count the
+        batches the primary namespace ran.  A replica-flagged batch is
+        counted in the replica namespace, which ``stats`` does not
+        report; a batch shed at admission or dropped at its deadline is
+        not counted at all.
+        """
         return json.loads(self._call(Frame(STATS), default="stats failed")
                           .body)
 

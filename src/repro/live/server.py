@@ -8,9 +8,10 @@ Cloud instance" — here it is a Python object you start on a port).
 Concurrency and overload
 ------------------------
 A ``ThreadingTCPServer`` accepts many clients.  Each namespace is one
-:class:`_Store` under one lock: a ``dict`` point index serves get, put,
-delete and the multi-ops (a batch takes the lock once), and a B+-tree
-over the same keys is the ordered index the range ops sweep.  Range ops
+:class:`~repro.btree.store.NodeStore` — the class each simulated node
+uses — under one lock: its ``dict`` point index serves get, put, delete
+and the multi-ops (a batch takes the lock once), and its B+-tree over
+the same keys is the ordered index the range ops sweep.  Range ops
 (sweep/extract family) snapshot *under* the lock but stream the records
 onto the socket *after* releasing it — a slow migration reader cannot
 stall the user-facing ops on the node.  Connection threads are
@@ -53,8 +54,7 @@ import threading
 import time
 from typing import Callable
 
-from repro.btree.bplustree import BPlusTree
-from repro.btree.sweep import sweep_range
+from repro.btree.store import NodeStore
 from repro.live.migration import TransferLedger
 from repro.live.protocol import (
     BACKGROUND, DEADLINE, DELETE, EXTRACT_ABORT, EXTRACT_COMMIT,
@@ -165,31 +165,29 @@ class AdmissionGate:
 
 
 class _Store:
-    """One namespace's records: a point index, an ordered index, one lock.
+    """One namespace: a :class:`~repro.btree.store.NodeStore`, the lock
+    that guards it, its :class:`~repro.live.migration.TransferLedger`,
+    and the ``stats`` counters.
 
-    ``index`` maps key → value and serves every point and batch op with
-    one dict probe.  ``tree`` is a B+-tree over the same keys (values
-    live only in ``index``), kept for the range ops: ``sweep`` and
-    ``extract_prepare`` walk its linked leaves exactly as Algorithm 2's
-    sweep does.  An overwrite touches only the dict; a new key or a
-    delete updates both.  One lock guards the pair and the byte
-    accounting, so overflow is an atomic node-wide decision.
+    Every point and batch op is one dict probe per key in the store's
+    point index (a batch takes the lock once); ``sweep`` and
+    ``extract_prepare`` walk the store's ordered leaves exactly as
+    Algorithm 2's sweep does.  One lock over the store makes overflow an
+    atomic node-wide decision.
     """
 
     def __init__(self, capacity_bytes: int, order: int,
                  lease_s: float) -> None:
-        self.index: dict[int, bytes] = {}
-        self.tree = BPlusTree(order=order)
+        self.records = NodeStore(capacity_bytes, order)
         self.lock = threading.Lock()
-        self.capacity_bytes = capacity_bytes
-        self.used_bytes = 0
         self.transfers = TransferLedger(lease_s=lease_s)
         self.hits = 0
         self.misses = 0
         #: acquisitions that found the lock held, reported as
         #: ``stripe_contention`` (the key benchmarks and metrics read).
         self.contended = 0
-        # batch-shape counters (reported by the ``stats`` op)
+        # batch-shape counters of the multi-ops this namespace ran
+        # (reported by the ``stats`` op)
         self.multi_ops = 0
         self.batched_keys = 0
         self.max_batch = 0
@@ -199,18 +197,18 @@ class _Store:
             self.contended += 1
             self.lock.acquire()
 
-    def note_batch(self, n: int) -> None:
-        with self.lock:
-            self.multi_ops += 1
-            self.batched_keys += n
-            self.max_batch = max(self.max_batch, n)
+    def _count_batch(self, n: int) -> None:
+        """Count one multi-op of ``n`` keys (the caller holds the lock)."""
+        self.multi_ops += 1
+        self.batched_keys += n
+        self.max_batch = max(self.max_batch, n)
 
     # ------------------------------------------------------- point ops
 
     def get(self, key: int) -> bytes | None:
         self._acquire()
         try:
-            value = self.index.get(key)
+            value = self.records.get(key)
             if value is None:
                 self.misses += 1
             else:
@@ -227,41 +225,26 @@ class _Store:
         ``if_absent`` an already-present key is left untouched and
         reported ``skipped`` — the conditional write migrations use so a
         stale snapshot copy can never clobber a newer concurrent put."""
+        records = self.records
         self._acquire()
         try:
-            if if_absent and key in self.index:
+            if if_absent and key in records:
                 return True, 0, True
-            ok, n = self._put_locked(key, value)
-            return ok, n, False
+            freed = records.put(key, value)
+            if freed is None:
+                old = records.get(key)
+                return False, records.free_bytes + len(old or b""), False
+            return True, freed, False
         finally:
             self.lock.release()
-
-    def _put_locked(self, key: int, value: bytes) -> tuple[bool, int]:
-        old = self.index.get(key)
-        freed = len(old) if old is not None else 0
-        if self.used_bytes - freed + len(value) > self.capacity_bytes:
-            return False, self.capacity_bytes - self.used_bytes + freed
-        self.used_bytes += len(value) - freed
-        if old is None:
-            self.tree.insert(key, None)
-        self.index[key] = value
-        return True, freed
 
     def delete(self, key: int) -> int:
         """Delete ``key`` if cached; returns bytes freed."""
         self._acquire()
         try:
-            return self._delete_locked(key)
+            return len(self.records.pop(key) or b"")
         finally:
             self.lock.release()
-
-    def _delete_locked(self, key: int) -> int:
-        value = self.index.pop(key, None)
-        if value is None:
-            return 0
-        self.tree.delete(key)
-        self.used_bytes -= len(value)
-        return len(value)
 
     # ------------------------------------------------------- batch ops
 
@@ -270,7 +253,8 @@ class _Store:
         or ``None``, in ``keys`` order (the reply's order)."""
         self._acquire()
         try:
-            values = list(map(self.index.get, keys))
+            self._count_batch(len(keys))
+            values = list(map(self.records.index.get, keys))
             found = len(values) - values.count(None)
             self.hits += found
             self.misses += len(values) - found
@@ -298,18 +282,20 @@ class _Store:
         skipped: list[int] = []
         if expired is not None and expired():
             return stored, freed_by_key, skipped, "deadline_exceeded"
+        store = self.records
         self._acquire()
         try:
+            self._count_batch(len(records))
             for key, value in records:
-                if if_absent and key in self.index:
+                if if_absent and key in store:
                     skipped.append(key)
                     continue
-                ok, n = self._put_locked(key, value)
-                if not ok:
+                freed = store.put(key, value)
+                if freed is None:
                     return stored, freed_by_key, skipped, "overflow"
                 stored.append(key)
-                if n:
-                    freed_by_key[key] = n
+                if freed:
+                    freed_by_key[key] = freed
         finally:
             self.lock.release()
         return stored, freed_by_key, skipped, None
@@ -318,7 +304,7 @@ class _Store:
         """Batched delete (extract commits); returns records removed."""
         self._acquire()
         try:
-            return sum(1 for key in keys if self._delete_locked(key))
+            return sum(1 for key in keys if self.records.pop(key) is not None)
         finally:
             self.lock.release()
 
@@ -330,9 +316,7 @@ class _Store:
         *outside* the lock, so a slow reader never stalls other ops."""
         self._acquire()
         try:
-            index = self.index
-            return [(key, index[key])
-                    for key, _ in sweep_range(self.tree, lo, hi)]
+            return self.records.sweep(lo, hi)
         finally:
             self.lock.release()
 
@@ -343,8 +327,8 @@ class _Store:
                 "hits": self.hits,
                 "misses": self.misses,
                 "stripe_contention": self.contended,
-                "records": len(self.index),
-                "used_bytes": self.used_bytes,
+                "records": len(self.records),
+                "used_bytes": self.records.used_bytes,
                 "multi_ops": self.multi_ops,
                 "batched_keys": self.batched_keys,
                 "max_batch": self.max_batch,
@@ -439,13 +423,10 @@ class _Handler(socketserver.BaseRequestHandler):
         :class:`FrameError` (error reply, then the session ends).
         """
         if frame.code == MULTI_GET:
-            batch: list = list(unpack_keys(frame))
-        else:
-            batch = unpack_records(frame)
-            if any(value is None for _, value in batch):
-                raise FrameError("multi_put record without a value")
-        store: _Store = self.server.store  # type: ignore[attr-defined]
-        store.note_batch(frame.n)
+            return list(unpack_keys(frame))
+        batch = unpack_records(frame)
+        if any(value is None for _, value in batch):
+            raise FrameError("multi_put record without a value")
         return batch
 
     @staticmethod
@@ -536,7 +517,7 @@ class _Handler(socketserver.BaseRequestHandler):
         elif op == STATS:
             gate: AdmissionGate = self.server.gate  # type: ignore[attr-defined]
             reply = {
-                "capacity_bytes": store.capacity_bytes,
+                "capacity_bytes": store.records.capacity_bytes,
                 "transfers_pending": store.transfers.pending,
                 "transfers_committed": store.transfers.committed,
                 "transfers_expired": store.transfers.expired,
@@ -546,7 +527,7 @@ class _Handler(socketserver.BaseRequestHandler):
             replica: _Store = self.server.replica_store  # type: ignore[attr-defined]
             counters = replica.counters_snapshot()
             reply["replica"] = {
-                "capacity_bytes": replica.capacity_bytes,
+                "capacity_bytes": replica.records.capacity_bytes,
                 "records": counters["records"],
                 "used_bytes": counters["used_bytes"],
                 "hits": counters["hits"],

@@ -86,6 +86,15 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
+def check_stores(servers) -> None:
+    """Assert every primary and replica store of the live ``servers`` is
+    consistent (see :meth:`repro.btree.store.NodeStore.check`)."""
+    for server in servers:
+        for store in (server.store, server.replica_store):
+            with store.lock:
+                store.records.check()
+
+
 def wait_until(predicate, *, timeout_s: float = 10.0,
                interval_s: float = 0.01, desc: str = "condition"):
     """Poll ``predicate`` until it returns truthy; fail loudly otherwise.

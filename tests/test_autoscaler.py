@@ -54,9 +54,9 @@ class TestScalingRules:
         assert cache.node_count <= 2
         # drain and shrink
         for node, lru in zip(cache.nodes, cache.lru):
-            for rec in [r for _, r in node.tree.items()]:
-                node.delete(rec.hkey)
-                lru.discard(rec.hkey)
+            for hkey, _ in node.items():
+                node.pop(hkey)
+                lru.discard(hkey)
         for _ in range(5):
             cache.end_time_slice()
         assert cache.node_count == 1  # min_nodes floor

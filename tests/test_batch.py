@@ -20,6 +20,7 @@ from repro.faults.retry import RetryPolicy
 from repro.live.client import LiveCacheClient, LiveClusterClient
 from repro.live.protocol import MAX_BATCH, DeadlineError, OverloadedError
 from repro.live.server import LiveCacheServer
+from tests.conftest import check_stores
 
 
 @pytest.fixture
@@ -106,6 +107,16 @@ class TestMultiOpsSingleServer:
         assert stats["multi_ops"] == 2
         assert stats["batched_keys"] == 48
         assert stats["max_batch"] == 32
+
+    def test_replica_batches_not_counted_as_primary(self, server, client):
+        client.multi_put([(k, b"r") for k in range(20)], replica=True)
+        assert len(client.multi_get(list(range(20)), replica=True)) == 20
+        stats = client.stats()
+        assert stats["replica"]["records"] == 20
+        assert stats["records"] == 0
+        assert (stats["multi_ops"], stats["batched_keys"]) == (0, 0)
+        replica = server.replica_store
+        assert (replica.multi_ops, replica.batched_keys) == (2, 40)
 
 
 class TestStriping:
@@ -295,7 +306,7 @@ class TestClusterFanOut:
         got = client.get_many([k for k, _ in items] + [1, 2, 3])
         assert got == dict(items)
         # The batch actually spread over every shard.
-        assert all(len(s.store.tree) > 0 for s in servers)
+        assert all(len(s.store.records) > 0 for s in servers)
 
     def test_get_many_degrades_per_shard(self, cluster):
         client, servers = cluster
@@ -325,12 +336,13 @@ class TestClusterFanOut:
         try:
             moved = client.add_server(extra.address, (1 << 16) // 6)
             assert moved > 0
-            assert len(extra.store.tree) == moved
+            assert len(extra.store.records) == moved
             # The copy arrived as multi_put batches, not per-key puts.
             with LiveCacheClient(extra.address) as probe:
                 assert probe.stats()["multi_ops"] >= 1
             got = client.get_many(keys)
             assert len(got) == len(keys)
+            check_stores(servers + [extra])
         finally:
             extra.stop()
 
@@ -340,9 +352,10 @@ class TestClusterFanOut:
         client.put_many([(k, f"{k}".encode()) for k in keys])
         moved = client.remove_server(servers[1].address)
         assert moved >= 0
-        assert len(servers[1].store.tree) == 0
+        assert len(servers[1].store.records) == 0
         got = client.get_many(keys)
         assert len(got) == len(keys)
+        check_stores(servers)
 
 
 class TestSingleThreadFanOut:

@@ -9,7 +9,7 @@ from repro.core.record import CacheRecord
 
 def make_node(capacity=1000) -> CacheNode:
     cn = CloudNode("i-test", INSTANCE_TYPES["m1.small"])
-    return CacheNode(cloud_node=cn, capacity_bytes=capacity, btree_order=4)
+    return CacheNode(cloud_node=cn, capacity_bytes=capacity, order=4)
 
 
 def rec(key, nbytes=100):
@@ -45,7 +45,7 @@ class TestCapacity:
         node.insert(rec(1))
         with pytest.raises(CapacityError):
             node.insert(rec(2))
-        node.check_accounting()
+        node.check()
 
     def test_free_bytes(self):
         node = make_node(capacity=1000)
@@ -57,17 +57,17 @@ class TestInsertDelete:
     def test_search_after_insert(self):
         node = make_node()
         node.insert(rec(5))
-        assert node.search(5).value == "v5"
-        assert node.search(6) is None
+        assert node.get(5).value == "v5"
+        assert node.get(6) is None
 
     def test_overwrite_releases_old_footprint(self):
         node = make_node(capacity=250)
         node.insert(rec(1, nbytes=200))
         node.insert(CacheRecord(key=1, hkey=1, value="new", nbytes=100))
         assert node.used_bytes == 100
-        assert node.search(1).value == "new"
+        assert node.get(1).value == "new"
         assert len(node) == 1
-        node.check_accounting()
+        node.check()
 
     def test_overwrite_that_would_overflow_restores_state(self):
         node = make_node(capacity=250)
@@ -76,18 +76,17 @@ class TestInsertDelete:
         with pytest.raises(CapacityError):
             node.insert(CacheRecord(key=1, hkey=1, value="big", nbytes=200))
         # The old record survives and accounting is unchanged.
-        assert node.search(1).value == "v1"
+        assert node.get(1).value == "v1"
         assert node.used_bytes == 200
-        node.check_accounting()
+        node.check()
 
     def test_delete_returns_record_and_frees(self):
         node = make_node()
         node.insert(rec(5, nbytes=123))
-        out = node.delete(5)
+        out = node.pop(5)
         assert out.nbytes == 123
         assert node.used_bytes == 0
-        with pytest.raises(KeyError):
-            node.delete(5)
+        assert node.pop(5) is None
 
 
 class TestRangeOps:
@@ -95,7 +94,7 @@ class TestRangeOps:
         node = make_node(capacity=10_000)
         for k in range(0, 100, 10):
             node.insert(rec(k, nbytes=10))
-        keys = [r.key for r in node.records_in(15, 55)]
+        keys = [r.key for _, r in node.sweep(15, 55)]
         assert keys == [20, 30, 40, 50]
 
     def test_count_in(self):
@@ -108,15 +107,17 @@ class TestRangeOps:
         node = make_node(capacity=10_000)
         for k in range(20):
             node.insert(rec(k, nbytes=10))
-        victims = node.extract_range(0, 9)
+        # Algorithm 2's source side: sweep the range, then pop it.
+        victims = [r for _, r in node.sweep(0, 9)]
+        for victim in victims:
+            node.pop(victim.hkey)
         assert [v.key for v in victims] == list(range(10))
         assert len(node) == 10
         assert node.used_bytes == 100
-        node.check_accounting()
-        node.tree.check_invariants()
+        node.check()
 
     def test_extract_empty_range(self):
         node = make_node()
         node.insert(rec(5))
-        assert node.extract_range(10, 20) == []
+        assert node.sweep(10, 20) == []
         assert len(node) == 1

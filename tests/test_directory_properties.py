@@ -80,7 +80,7 @@ class DirectoryMachine(RuleBasedStateMachine):
     @invariant()
     def cached_values_are_current(self):
         for node in self.cache.nodes:
-            for _, rec in node.tree.items():
+            for _, rec in node.items():
                 assert self.model.get(rec.key) == rec.value
 
 

@@ -218,7 +218,7 @@ class TestReplication:
         repl = ReplicationManager(cache)
         repl.sync()
         victim = max(cache.nodes, key=lambda n: len(n))
-        lost_keys = [rec.key for _, rec in victim.tree.items()]
+        lost_keys = [rec.key for _, rec in victim.items()]
         repl.fail_node(victim)
         recovered = repl.recover_node_loss(victim.node_id)
         assert recovered >= len(lost_keys) - len(lost_keys) // 10  # most back
@@ -230,7 +230,7 @@ class TestReplication:
         cache = self._grown(cloud, network)
         repl = ReplicationManager(cache)  # never synced
         victim = max(cache.nodes, key=lambda n: len(n))
-        lost_keys = [rec.key for _, rec in victim.tree.items()]
+        lost_keys = [rec.key for _, rec in victim.items()]
         repl.fail_node(victim)
         assert repl.recover_node_loss(victim.node_id) == 0
         assert all(cache.get(k) is None for k in lost_keys)

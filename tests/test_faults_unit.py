@@ -321,7 +321,7 @@ class TestClusterFailover:
                 cluster.restore_server(victim)
             interim = cluster.clients[survivor]
             assert interim.stats()["transfers_pending"] == 0
-            servers[0].store.capacity_bytes = 1 << 20   # capacity freed
+            servers[0].store.records.capacity_bytes = 1 << 20   # capacity freed
             assert cluster.restore_server(victim) > 0
             assert not cluster.failed_servers
             for key in keys:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.btree.store import NodeStore
 from repro.core.cachenode import CapacityError
+from repro.core.gba import fullest_bucket
+from repro.core.ring import ConsistentHashRing, RingError
 from tests.conftest import make_cache
 
 REC = 100  # bytes per test record
@@ -188,3 +191,32 @@ class TestEvictKeys:
         fill(cache, range(10, 20))
         assert cache.record_count == 10
         cache.check_integrity()
+
+
+class TestFullestBucket:
+    """Alg. 1 line 10, with bucket loads summed from the node's store."""
+
+    @pytest.fixture
+    def ring(self):
+        self.n1, self.n2 = NodeStore(10_000), NodeStore(10_000)
+        r = ConsistentHashRing(ring_range=100)
+        r.add_bucket(99, self.n1)  # sentinel-style last bucket
+        r.add_bucket(49, self.n2)
+        return r
+
+    def test_fullest_bucket_of(self, ring):
+        ring.add_bucket(20, self.n1)
+        self.n2.put(10, b"x" * 100)   # bucket 49 (n2)
+        self.n1.put(60, b"x" * 500)   # bucket 99 (n1)
+        self.n1.put(5, b"x" * 50)     # bucket 20 (n1)
+        assert fullest_bucket(ring, self.n1) == 99
+        assert fullest_bucket(ring, self.n2) == 49
+
+    def test_fullest_bucket_tie_breaks_low(self, ring):
+        ring.add_bucket(20, self.n1)
+        # both n1 buckets empty -> lowest position wins
+        assert fullest_bucket(ring, self.n1) == 20
+
+    def test_fullest_of_unknown_node_raises(self, ring):
+        with pytest.raises(RingError):
+            fullest_bucket(ring, NodeStore(10))

@@ -149,7 +149,7 @@ class TestFailureInjection:
         repl = ReplicationManager(cache)
         repl.sync()
         victim = max(cache.nodes, key=len)
-        lost_keys = [rec.key for _, rec in victim.tree.items()]
+        lost_keys = [rec.key for _, rec in victim.items()]
         repl.fail_node(victim)
         repl.recover_node_loss(victim.node_id)
         for k in lost_keys:

@@ -7,6 +7,7 @@ import pytest
 from repro.live.client import LiveCacheClient, LiveClusterClient
 from repro.live.protocol import OverloadedError, ProtocolError
 from repro.live.server import LiveCacheServer
+from tests.conftest import check_stores
 
 
 @pytest.fixture
@@ -157,8 +158,7 @@ class TestCluster:
         client, servers = cluster
         for k in range(0, 60000, 500):
             client.put(k, f"{k}".encode())
-        counts = [s.store.tree for s in servers]
-        populated = sum(1 for t in counts if len(t) > 0)
+        populated = sum(1 for s in servers if len(s.store.records) > 0)
         assert populated == 3
 
     def test_all_keys_retrievable(self, cluster):
@@ -188,10 +188,11 @@ class TestCluster:
             bucket = (1 << 16) // 6
             moved = client.add_server(new_server.address, bucket)
             assert moved > 0
-            assert len(new_server.store.tree) == moved
+            assert len(new_server.store.records) == moved
             # Every key still resolves through the grown ring.
             for k in keys:
                 assert client.get(k) == f"{k}".encode(), f"lost {k}"
+            check_stores(servers + [new_server])
         finally:
             new_server.stop()
 
@@ -201,15 +202,15 @@ class TestCluster:
         for k in keys:
             client.put(k, f"{k}".encode())
         victim_addr = servers[1].address
-        victim_records = servers[1].store.tree
-        had = len(victim_records)
+        had = len(servers[1].store.records)
         moved = client.remove_server(victim_addr)
         assert moved >= had
         assert len(client.clients) == 2
         # Every key still served by the shrunken cluster.
         for k in keys:
             assert client.get(k) == f"{k}".encode(), f"lost {k}"
-        assert len(servers[1].store.tree) == 0  # drained
+        assert len(servers[1].store.records) == 0  # drained
+        check_stores(servers)
 
     def test_remove_last_server_rejected(self):
         server = LiveCacheServer(capacity_bytes=1 << 20).start()
@@ -237,6 +238,7 @@ class TestCluster:
             for k in keys:
                 assert client.get(k) == b"x"
             assert len(client.clients) == 3
+            check_stores(servers + [extra])
         finally:
             extra.stop()
 
@@ -279,7 +281,7 @@ class TestReshapeFailures:
 
     def test_add_server_refused_prepare_changes_nothing(self, fleet,
                                                         monkeypatch):
-        client, _ = fleet
+        client, servers = fleet
         bucket = self.RING // 6
         src = client.clients[client.address_for(bucket)]
 
@@ -295,12 +297,13 @@ class TestReshapeFailures:
             assert client.ring.node_map == ring_before
             assert extra.address not in client.clients
             self.assert_all_keys_read_back(client)
+            check_stores(servers + [extra])
         finally:
             extra.stop()
 
     def _overflow_successor(self, servers):
         """Leave the victim's successor room for a few records only."""
-        store = servers[2].store
+        store = servers[2].store.records
         store.capacity_bytes = store.used_bytes + 64
         return store
 
@@ -312,20 +315,22 @@ class TestReshapeFailures:
             client.remove_server(servers[1].address)
         assert victim.stats()["transfers_pending"] == 0
         self.assert_all_keys_read_back(client)
+        check_stores(servers)
 
     def test_remove_server_retry_finishes_pending_moves(self, fleet):
         client, servers = fleet
         successor = self._overflow_successor(servers)
         with pytest.raises(ProtocolError, match="overflow"):
             client.remove_server(servers[1].address)
-        left = len(servers[1].store.tree)
+        left = len(servers[1].store.records)
         successor.capacity_bytes = 1 << 20      # capacity freed
         # The first call's partial copy landed; the rest moves now.
         assert 0 < client.remove_server(servers[1].address) < left
-        assert len(servers[1].store.tree) == 0
+        assert len(servers[1].store.records) == 0
         servers[1].stop()                       # instance terminated
         assert servers[1].address not in client.clients
         self.assert_all_keys_read_back(client)
+        check_stores(servers)
 
     def test_remove_server_retry_after_growth_split_the_range(self, fleet):
         # Between the failed call and its retry, growth splits the
@@ -343,6 +348,7 @@ class TestReshapeFailures:
             client.remove_server(servers[1].address)
             servers[1].stop()
             self.assert_all_keys_read_back(client)
+            check_stores(servers + [extra])
         finally:
             extra.stop()
 
@@ -360,3 +366,4 @@ class TestReshapeFailures:
         client.remove_server(victim)
         servers[1].stop()
         self.assert_all_keys_read_back(client)
+        check_stores(servers)

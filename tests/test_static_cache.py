@@ -84,7 +84,7 @@ class TestLRUEviction:
             cache.put(k, "x", nbytes=REC)
         for node in cache.nodes:
             assert node.used_bytes <= node.capacity_bytes
-            node.check_accounting()
+            node.check()
 
     def test_record_too_large_raises(self, cloud, network):
         cache = make_static(cloud, network, n=1, capacity=3 * REC)

@@ -85,14 +85,14 @@ class StaticCacheMachine(RuleBasedStateMachine):
     @invariant()
     def contents_match_model(self):
         for idx, node in enumerate(self.cache.nodes):
-            real = {rec.key: rec.value for _, rec in node.tree.items()}
+            real = {rec.key: rec.value for _, rec in node.items()}
             assert real == self.model[idx].data
 
     @invariant()
     def capacity_respected(self):
         for node in self.cache.nodes:
             assert node.used_bytes <= node.capacity_bytes
-            node.check_accounting()
+            node.check()
 
 
 TestStaticCacheStateMachine = StaticCacheMachine.TestCase
