@@ -18,13 +18,15 @@ check:
 	$(PYTHON) -m repro check --seed 20100607 --clients 3 --ops 80 --nemesis mix
 
 # Fault suites (chaos + property + fuzz), including the slow live tests
-# that tier-1 skips.  REPRO_FAULT_SEED pins the fault lottery.
+# that tier-1 skips, and the kill/recover availability timeline bench
+# (report lands in benchmarks/results/bench_faults.txt).
+# REPRO_FAULT_SEED pins the fault lottery.
 chaos:
 	REPRO_FAULT_SEED=20100607 PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),) \
 	$(PYTHON) -m pytest -m "slow or not slow" -q \
 		tests/test_faults_live.py tests/test_faults_properties.py \
 		tests/test_faults_unit.py tests/test_protocol_fuzz.py \
-		tests/test_live_soak.py
+		tests/test_live_soak.py benchmarks/bench_faults.py
 
 # Overload suite: admission-control/deadline/two-phase unit + wire
 # tests, plus the 1x/2x/4x offered-load benchmark (slow-marked, so it

@@ -10,14 +10,16 @@ fails the dead buckets over to ring successors, serves degraded
 (recompute) traffic in the meantime, and re-admits + repopulates the
 server on recovery — all without a single wrong result.
 
-Emits an availability/hit-rate timeline (per 50-query window) to
-``benchmarks/results/bench_faults.txt``.
+Emits an availability/hit-rate timeline (per 50-query window, from
+deltas of the coordinator's :class:`~repro.live.coordinator.LiveQueryStats`)
+to ``benchmarks/results/bench_faults.txt``.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 
 from benchmarks._util import emit
-from repro.core.metrics import MetricsRecorder
 from repro.faults import FailureDetector, FaultPlan, LiveFaultDriver, RetryPolicy
 from repro.live.client import LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
@@ -50,7 +52,6 @@ def test_availability_under_kill_recover(benchmark):
             for i in range(3)
         }
         addresses = [servers[i].address for i in range(3)]
-        metrics = MetricsRecorder()
         cluster = LiveClusterClient(
             addresses, ring_range=1 << 20,
             retry=RetryPolicy(max_attempts=2, deadline_s=1.0,
@@ -58,8 +59,7 @@ def test_availability_under_kill_recover(benchmark):
             timeout=1.0)
         coord = LiveCoordinator(
             cluster, _derived,
-            detector=FailureDetector(threshold=2),
-            metrics=metrics)
+            detector=FailureDetector(threshold=2))
 
         def kill(slot: int) -> None:
             servers[slot].stop()
@@ -75,17 +75,18 @@ def test_availability_under_kill_recover(benchmark):
             kill=kill, restore=restore)
 
         wrong = 0
+        windows = []
+        last = asdict(coord.stats)
         for i, key in enumerate(keys):
             driver.tick(i)
             value = coord.query(key)
             if value != _derived(key):
                 wrong += 1
             if (i + 1) % WINDOW == 0:
-                metrics.end_step(step=(i + 1) // WINDOW,
-                                 node_count=len(cluster.clients),
-                                 used_bytes=0, capacity_bytes=0,
-                                 sim_time_s=0.0, cost_usd=0.0)
-        out = {"wrong": wrong, "stats": coord.stats, "metrics": metrics,
+                now = asdict(coord.stats)
+                windows.append({k: now[k] - last[k] for k in now})
+                last = now
+        out = {"wrong": wrong, "stats": coord.stats, "windows": windows,
                "servers": len(cluster.clients)}
         cluster.close()
         for server in servers.values():
@@ -93,7 +94,7 @@ def test_availability_under_kill_recover(benchmark):
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
-    stats, metrics = out["stats"], out["metrics"]
+    stats, windows = out["stats"], out["windows"]
 
     # Hard guarantees: recompute fallback preserves correctness, the ring
     # repaired itself, and the killed server was re-admitted.
@@ -102,8 +103,6 @@ def test_availability_under_kill_recover(benchmark):
     assert stats.recoveries >= 1
     assert out["servers"] == 3  # back to full strength
 
-    avail = metrics.availability_series()
-    hits = [s.hit_rate for s in metrics.steps]
     lines = [
         "availability under a scripted kill/recover "
         f"(kill node 0 @ q{KILL_AT}, restart @ q{RECOVER_AT}):",
@@ -111,10 +110,11 @@ def test_availability_under_kill_recover(benchmark):
         f"{'window':>6} {'queries':>8} {'hit_rate':>9} {'avail':>7} "
         f"{'failovers':>9} {'recoveries':>10}",
     ]
-    for i, step in enumerate(metrics.steps):
+    for i, w in enumerate(windows):
         lines.append(
-            f"{i:>6} {step.queries:>8} {hits[i]:>9.3f} {avail[i]:>7.3f} "
-            f"{step.failovers:>9} {step.recoveries:>10}")
+            f"{i:>6} {w['queries']:>8} {w['hits'] / w['queries']:>9.3f} "
+            f"{1.0 - w['degraded_queries'] / w['queries']:>7.3f} "
+            f"{w['failovers']:>9} {w['recoveries']:>10}")
     lines += [
         "",
         f"totals: {stats.queries} queries, hit rate {stats.hit_rate:.3f}, "

@@ -41,38 +41,6 @@ class StepStats:
     latency_sum_s: float = 0.0
     sim_time_s: float = 0.0
     cost_usd: float = 0.0
-    # fault/availability counters (populated under fault injection)
-    retries: int = 0
-    failovers: int = 0
-    degraded: int = 0
-    recoveries: int = 0
-    recovery_s: float = 0.0
-    # overload-protection counters (populated under load shedding)
-    shed: int = 0                #: requests shed by overloaded servers
-    shed_background: int = 0     #: background requests dropped outright
-    deadline_misses: int = 0     #: requests whose deadline budget expired
-    breaker_fastfails: int = 0   #: requests short-circuited by open breakers
-    queue_depth: int = 0         #: peak admission-queue depth observed
-    # batched hot-path counters (populated by multi-key ops)
-    batches: int = 0             #: multi-key batches issued
-    batched_keys: int = 0        #: keys carried by those batches
-    stripe_contention: int = 0   #: peak server lock-stripe contention seen
-    # replication counters (populated with buddy replication enabled)
-    replica_hits: int = 0        #: degraded reads served from a buddy copy
-    handoff_depth: int = 0       #: peak hinted-handoff queue depth observed
-    rebuild_bytes: int = 0       #: bytes re-placed by anti-entropy rebuilds
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average keys per batch this step (0 when nothing batched)."""
-        return self.batched_keys / self.batches if self.batches else 0.0
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of this step's queries shed by overload protection."""
-        if not self.queries:
-            return 0.0
-        return (self.shed + self.shed_background) / self.queries
 
     @property
     def mean_latency_s(self) -> float:
@@ -84,14 +52,6 @@ class StepStats:
         """Fraction of this step's queries served from cache."""
         return self.hits / self.queries if self.queries else 0.0
 
-    @property
-    def availability(self) -> float:
-        """Fraction of this step's queries served on the fast path (a
-        degraded query fell back to recompute around a dead shard)."""
-        if not self.queries:
-            return 1.0
-        return 1.0 - self.degraded / self.queries
-
 
 class MetricsRecorder:
     """Streaming per-step metrics with numpy series extraction.
@@ -100,12 +60,16 @@ class MetricsRecorder:
     hooks as events occur; call :meth:`end_step` once per time step with a
     state snapshot.  Series are materialized lazily.
 
-    Thread safety: the live stack calls the ``record_*`` hooks from many
-    worker threads at once (striped servers, pipelined clients), so every
-    hook and every snapshot takes one internal lock.  Without it, two
-    threads racing ``_current()`` can each create a StepStats and orphan
-    one, ``+=`` loses increments, and ``summary()`` can observe
-    ``hits + misses != queries`` mid-update.
+    This is the paper's per-step model only; the live cluster's failure
+    and overload counters live in
+    :class:`~repro.live.coordinator.LiveQueryStats`.
+
+    Thread safety: a recorder may be shared by a driver that runs
+    queries on several threads, so every hook and every snapshot takes
+    one internal lock.  Without it, two threads racing ``_current()``
+    can each create a StepStats and orphan one, ``+=`` loses increments,
+    and ``summary()`` can observe ``hits + misses != queries``
+    mid-update.
     """
 
     def __init__(self, keep_latencies: bool = False) -> None:
@@ -117,19 +81,6 @@ class MetricsRecorder:
         self.total_misses = 0
         self.total_evictions = 0
         self.total_latency_s = 0.0
-        self.total_retries = 0
-        self.total_failovers = 0
-        self.total_degraded = 0
-        self.total_recoveries = 0
-        self.total_recovery_s = 0.0
-        self.total_shed = 0
-        self.total_shed_background = 0
-        self.total_deadline_misses = 0
-        self.total_breaker_fastfails = 0
-        self.total_batches = 0
-        self.total_batched_keys = 0
-        self.total_replica_hits = 0
-        self.total_rebuild_bytes = 0
         #: per-query latency log (enabled with ``keep_latencies=True``);
         #: needed for tail percentiles, which step means wash out.
         self.keep_latencies = keep_latencies
@@ -178,106 +129,6 @@ class MetricsRecorder:
         """Account one contraction merge."""
         with self._lock:
             self._current().merges += 1
-
-    # ------------------------------------------------------- fault hooks
-
-    def record_retry(self, count: int = 1) -> None:
-        """Account idempotent-request retries (transport flaps)."""
-        with self._lock:
-            self._current().retries += count
-            self.total_retries += count
-
-    def record_failover(self) -> None:
-        """Account one shard condemned and routed around."""
-        with self._lock:
-            self._current().failovers += 1
-            self.total_failovers += 1
-
-    def record_degraded(self) -> None:
-        """Account one query served by recompute around a dead shard."""
-        with self._lock:
-            self._current().degraded += 1
-            self.total_degraded += 1
-
-    def record_recovery(self, downtime_s: float = 0.0) -> None:
-        """Account one failed shard re-admitted after ``downtime_s``."""
-        with self._lock:
-            s = self._current()
-            s.recoveries += 1
-            s.recovery_s += downtime_s
-            self.total_recoveries += 1
-            self.total_recovery_s += downtime_s
-
-    # ------------------------------------------------- replication hooks
-
-    def record_replica_hit(self) -> None:
-        """Account one degraded read served from a buddy's replica copy
-        (a recompute the replication layer saved)."""
-        with self._lock:
-            self._current().replica_hits += 1
-            self.total_replica_hits += 1
-
-    def record_handoff_depth(self, depth: int) -> None:
-        """Track the peak hinted-handoff queue depth seen this step
-        (hints parked on buddies, awaiting a restore drain)."""
-        with self._lock:
-            s = self._current()
-            s.handoff_depth = max(s.handoff_depth, depth)
-
-    def record_rebuild(self, nbytes: int) -> None:
-        """Account bytes re-placed by one anti-entropy rebuild pass."""
-        with self._lock:
-            self._current().rebuild_bytes += nbytes
-            self.total_rebuild_bytes += nbytes
-
-    # ---------------------------------------------------- overload hooks
-
-    def record_shed(self, background: bool = False) -> None:
-        """Account one request shed by overload protection (a server's
-        admission queue was full, or a degraded-mode background drop)."""
-        with self._lock:
-            if background:
-                self._current().shed_background += 1
-                self.total_shed_background += 1
-            else:
-                self._current().shed += 1
-                self.total_shed += 1
-
-    def record_deadline_miss(self) -> None:
-        """Account one request whose deadline budget expired."""
-        with self._lock:
-            self._current().deadline_misses += 1
-            self.total_deadline_misses += 1
-
-    def record_breaker_fastfail(self) -> None:
-        """Account one request short-circuited by an open breaker."""
-        with self._lock:
-            self._current().breaker_fastfails += 1
-            self.total_breaker_fastfails += 1
-
-    def record_queue_depth(self, depth: int) -> None:
-        """Track the peak admission-queue depth seen this step."""
-        with self._lock:
-            s = self._current()
-            s.queue_depth = max(s.queue_depth, depth)
-
-    # ------------------------------------------------------- batch hooks
-
-    def record_batch(self, n_keys: int) -> None:
-        """Account one multi-key batch carrying ``n_keys`` keys."""
-        with self._lock:
-            s = self._current()
-            s.batches += 1
-            s.batched_keys += n_keys
-            self.total_batches += 1
-            self.total_batched_keys += n_keys
-
-    def record_stripe_contention(self, contended: int) -> None:
-        """Track the peak server lock-stripe contention counter observed
-        this step (servers report it cumulatively via ``stats``)."""
-        with self._lock:
-            s = self._current()
-            s.stripe_contention = max(s.stripe_contention, contended)
 
     def end_step(self, *, step: int, node_count: int, used_bytes: int,
                  capacity_bytes: int, sim_time_s: float, cost_usd: float) -> StepStats:
@@ -344,16 +195,6 @@ class MetricsRecorder:
             out.append((elapsed, (q_acc * baseline_s) / t_acc if t_acc else 1.0))
         return out
 
-    def availability_series(self) -> np.ndarray:
-        """Per-step availability (what a fault benchmark plots over time):
-        the fraction of each step's queries that did *not* fall back to
-        degraded-mode recompute.  Steps with no queries count as fully
-        available."""
-        queries = self.series("queries")
-        degraded = self.series("degraded")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(queries > 0, 1.0 - degraded / queries, 1.0)
-
     def latency_percentiles(self, qs=(50, 90, 99, 100)) -> dict[float, float]:
         """Per-query latency percentiles (requires ``keep_latencies``).
 
@@ -392,12 +233,7 @@ class MetricsRecorder:
         fields = ["step", "queries", "hits", "misses", "evictions",
                   "splits", "allocations", "merges", "node_count",
                   "used_bytes", "capacity_bytes", "latency_sum_s",
-                  "sim_time_s", "cost_usd", "retries", "failovers",
-                  "degraded", "recoveries", "recovery_s", "shed",
-                  "shed_background", "deadline_misses",
-                  "breaker_fastfails", "queue_depth", "batches",
-                  "batched_keys", "stripe_contention", "replica_hits",
-                  "handoff_depth", "rebuild_bytes"]
+                  "sim_time_s", "cost_usd"]
         lines = [",".join(fields)]
         for s in self.steps:
             lines.append(",".join(
@@ -423,22 +259,4 @@ class MetricsRecorder:
             "mean_nodes": self.mean_node_count(),
             "max_nodes": float(self.series("node_count").max()) if self.steps else 0.0,
             "final_cost_usd": self.steps[-1].cost_usd if self.steps else 0.0,
-            "retries": self.total_retries,
-            "failovers": self.total_failovers,
-            "degraded": self.total_degraded,
-            "recoveries": self.total_recoveries,
-            "availability": (1.0 - self.total_degraded / self.total_queries
-                             if self.total_queries else 1.0),
-            "shed": self.total_shed,
-            "shed_background": self.total_shed_background,
-            "deadline_misses": self.total_deadline_misses,
-            "breaker_fastfails": self.total_breaker_fastfails,
-            "shed_rate": ((self.total_shed + self.total_shed_background)
-                          / self.total_queries if self.total_queries else 0.0),
-            "batches": self.total_batches,
-            "batched_keys": self.total_batched_keys,
-            "mean_batch_size": (self.total_batched_keys / self.total_batches
-                                if self.total_batches else 0.0),
-            "replica_hits": self.total_replica_hits,
-            "rebuild_bytes": self.total_rebuild_bytes,
         }

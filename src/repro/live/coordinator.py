@@ -42,6 +42,9 @@ Priority ordering: user-facing queries always get recompute; background
 (prefetch/warm) traffic is tagged ``priority=background`` on the wire,
 shed first by the server, and simply *dropped* by the coordinator when
 the cluster is degraded or overloaded.
+
+Every outcome above is counted once, in the coordinator's
+:class:`LiveQueryStats` (``coordinator.stats``).
 """
 
 from __future__ import annotations
@@ -52,15 +55,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.config import EvictionConfig
-from repro.core.metrics import MetricsRecorder
 from repro.core.sliding_window import SlidingWindowEvictor
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.detector import FailureDetector
 from repro.live.client import LiveClusterClient
 from repro.live.protocol import (OK, PING, DeadlineError, Frame,
-                                 OverloadedError, ProtocolError, recv_frame,
-                                 send_frame)
+                                 OverloadedError, ProtocolError, ServerError,
+                                 recv_frame, send_frame)
 from repro.live.server import LiveCacheServer
+
+
+def _is_overflow(exc: Exception) -> bool:
+    """The primary's typed ``OVERFLOW`` refusal: the one fill failure
+    growth can cure.  A full buddy replica namespace surfaces as a plain
+    :class:`ProtocolError` ("replica write failed: ...") and is not one."""
+    return isinstance(exc, ServerError) and str(exc) == "overflow"
 
 
 @dataclass
@@ -103,6 +112,10 @@ class LiveQueryStats:
 class LiveCoordinator:
     """Query front-end over a :class:`LiveClusterClient`.
 
+    Its only counters are :attr:`stats`, one :class:`LiveQueryStats`;
+    a benchmark that wants a timeline snapshots it at window
+    boundaries.
+
     Parameters
     ----------
     cluster:
@@ -134,11 +147,6 @@ class LiveCoordinator:
         Ping-based health sweep (plus recovery probe) every N queries;
         0 disables the in-band sweep — errors and explicit
         :meth:`health_check` calls still drive detection.
-    metrics:
-        Optional :class:`~repro.core.metrics.MetricsRecorder`; when given,
-        per-query outcomes and fault counters (retries, failovers,
-        degraded queries, recovery times) are recorded so benchmarks can
-        plot availability curves.
     on_event:
         Optional observer ``(event, detail) -> None`` called at
         lifecycle transitions: ``shed``, ``deadline_miss``,
@@ -163,7 +171,6 @@ class LiveCoordinator:
         breaker: CircuitBreaker | None = None,
         deadline_ms: float | None = None,
         health_every: int = 0,
-        metrics: MetricsRecorder | None = None,
         on_event: Callable[[str, str], None] | None = None,
     ) -> None:
         self.cluster = cluster
@@ -176,7 +183,6 @@ class LiveCoordinator:
                         else CircuitBreaker(detector=self.detector))
         self.deadline_ms = deadline_ms
         self.health_every = health_every
-        self.metrics = metrics
         self.on_event = on_event
         self.stats = LiveQueryStats()
         self.spawned: list[LiveCacheServer] = []
@@ -205,12 +211,18 @@ class LiveCoordinator:
         or overloaded conditions: it is tagged on the wire so the server
         sheds it early, and any failure *drops* it (returns ``None``)
         instead of spending recompute on it.
+
+        The cache fill after a miss only grows the cluster on the
+        primary's ``OVERFLOW`` refusal; with no ``spawn_server`` that
+        refusal raises.  Any other failed fill (shed, deadline,
+        transport, a full buddy replica namespace) returns the computed
+        value and counts in ``dropped_writes`` — or, for background
+        traffic, returns ``None`` and counts in ``shed_background``.
         """
         if (self.health_every and self.stats.queries
                 and self.stats.queries % self.health_every == 0):
             self.health_check()
         self.stats.queries += 1
-        t0 = time.perf_counter()
         expires_at = (time.monotonic() + self.deadline_ms / 1000.0
                       if self.deadline_ms is not None else None)
         background = priority == "background"
@@ -222,12 +234,9 @@ class LiveCoordinator:
             # connect timeout against a shard we expect to be dead.
             self.stats.breaker_fastfails += 1
             self._emit("breaker_fastfail", f"{addr[0]}:{addr[1]}")
-            if self.metrics is not None:
-                self.metrics.record_breaker_fastfail()
             if background:
                 return self._drop_background()
-            return self._query_degraded(key, addr, t0, expires_at,
-                                        charge=False)
+            return self._query_degraded(key, addr, expires_at, charge=False)
         try:
             cached = self.cluster.get(
                 key, deadline_ms=self._remaining_ms(expires_at),
@@ -238,38 +247,38 @@ class LiveCoordinator:
             # for elastic growth, not a symptom of death.
             self.stats.overloaded += 1
             self._emit("shed", f"key {key} shed by {addr[0]}:{addr[1]}")
-            if self.metrics is not None:
-                self.metrics.record_shed()
             if background:
                 return self._drop_background()
-            return self._recompute(key, t0, expires_at)
+            return self._recompute(key, expires_at)
         except DeadlineError:
             self.stats.deadline_misses += 1
             self._emit("deadline_miss", f"key {key} at {addr[0]}:{addr[1]}")
-            if self.metrics is not None:
-                self.metrics.record_deadline_miss()
             if background:
                 return self._drop_background()
-            return self._recompute(key, t0, expires_at)
+            return self._recompute(key, expires_at)
         except self.FAILURES:
             self._charge_failure(addr)
             if background:
                 return self._drop_background()
-            return self._query_degraded(key, addr, t0, expires_at,
-                                        charge=False)
+            return self._query_degraded(key, addr, expires_at, charge=False)
         self._charge_success(addr)
         if cached is not None:
             self.stats.hits += 1
-            self._note_query(hit=True, t0=t0)
             return cached
         self.stats.misses += 1
         value = self.compute(key)
-        # Fast path (shard healthy): the write is NOT best-effort —
-        # an overflow must surface so elasticity (or its absence) is
-        # the caller's decision, exactly as before overload hardening.
-        self._put_with_growth(key, value,
-                              deadline_ms=self._remaining_ms(expires_at))
-        self._note_query(hit=False, t0=t0)
+        # Without a spawner the primary's overflow must surface:
+        # elasticity (or its absence) is the caller's decision.  Any
+        # other failed fill costs a future miss, never the answer.
+        try:
+            self._put_with_growth(key, value,
+                                  deadline_ms=self._remaining_ms(expires_at))
+        except self.FAILURES as exc:
+            if self.spawn_server is None and _is_overflow(exc):
+                raise
+            if background:
+                return self._drop_background()
+            self.stats.dropped_writes += 1
         return value
 
     def prefetch(self, key: int) -> bool:
@@ -278,53 +287,6 @@ class LiveCoordinator:
         prefetch is exactly the traffic overload protection sacrifices
         first)."""
         return self.query(key, priority="background") is not None
-
-    def prefetch_many(self, keys) -> int:
-        """Warm many keys through the batched hot path.
-
-        One scatter-gather ``get_many`` finds what is already cached,
-        the gaps are computed, and the fills ride one ``put_many`` —
-        all tagged ``priority=background``, so an overloaded shard sheds
-        them early and a failed shard simply drops its share (counted
-        as ``shed_background``; prefetch is the first sacrifice, never
-        worth a degraded-mode recompute spree).  Returns the number of
-        keys cached when the call completes.
-        """
-        keys = list(dict.fromkeys(keys))
-        if not keys:
-            return 0
-        t0 = time.perf_counter()
-        deadline = self.deadline_ms
-        if self.metrics is not None:
-            self.metrics.record_batch(len(keys))
-        try:
-            cached = self.cluster.get_many(keys, deadline_ms=deadline,
-                                           priority="background")
-        except self.FAILURES:
-            cached = {}
-        self.stats.queries += len(keys)
-        self.stats.hits += len(cached)
-        missing = [k for k in keys if k not in cached]
-        self.stats.misses += len(missing)
-        items = [(k, self.compute(k)) for k in missing]
-        stored = 0
-        if items:
-            try:
-                stored = self.cluster.put_many(items, deadline_ms=deadline,
-                                               priority="background")
-            except self.FAILURES:
-                stored = 0
-        dropped = len(items) - stored
-        if dropped:
-            self.stats.shed_background += dropped
-            if self.metrics is not None:
-                for _ in range(dropped):
-                    self.metrics.record_shed(background=True)
-        if self.metrics is not None:
-            latency = (time.perf_counter() - t0) / max(len(keys), 1)
-            for k in keys:
-                self.metrics.record_query(hit=k in cached, latency_s=latency)
-        return len(cached) + stored
 
     # ----------------------------------------------------- fallback paths
 
@@ -350,8 +312,6 @@ class LiveCoordinator:
     def _drop_background(self) -> None:
         """Shed a background request outright (no recompute)."""
         self.stats.shed_background += 1
-        if self.metrics is not None:
-            self.metrics.record_shed(background=True)
         return None
 
     def _store_after_compute(self, key: int, value: bytes,
@@ -364,26 +324,22 @@ class LiveCoordinator:
         except self.FAILURES:
             self.stats.dropped_writes += 1
 
-    def _recompute(self, key: int, t0: float,
-                   expires_at: float | None) -> bytes:
+    def _recompute(self, key: int, expires_at: float | None) -> bytes:
         """Recompute for a shed/expired request — the shard is alive,
         so this is not charged as a degraded (availability) event."""
         self.stats.misses += 1
         value = self.compute(key)
         self._store_after_compute(key, value, expires_at)
-        self._note_query(hit=False, t0=t0)
         return value
 
     def _query_degraded(self, key: int, addr: tuple[str, int],
-                        t0: float, expires_at: float | None = None,
+                        expires_at: float | None = None,
                         charge: bool = True) -> bytes:
         """The slow-but-correct path: shard unreachable.  With
         replication on, the buddy's copy is consulted (and read-repaired
         toward the owner) before paying for a recompute — the paper's
         "transient data availability" case; without one, recompute."""
         self.stats.degraded_queries += 1
-        if self.metrics is not None:
-            self.metrics.record_degraded()
         if charge:
             self._charge_failure(addr)
         if self.detector.is_down(addr):
@@ -395,9 +351,6 @@ class LiveCoordinator:
             self.stats.replica_hits += 1
             self._emit("replica_hit", f"key {key} served from buddy of "
                                       f"{addr[0]}:{addr[1]}")
-            if self.metrics is not None:
-                self.metrics.record_replica_hit()
-            self._note_query(hit=True, t0=t0)
             return value
         self.stats.misses += 1
         self._emit("degraded", f"key {key} recomputed around "
@@ -407,13 +360,7 @@ class LiveCoordinator:
         # repopulates; before one it may fail again — that's fine, the
         # computed value is already in hand.
         self._store_after_compute(key, value, expires_at)
-        self._note_query(hit=False, t0=t0)
         return value
-
-    def _note_query(self, *, hit: bool, t0: float) -> None:
-        if self.metrics is not None:
-            self.metrics.record_query(hit=hit,
-                                      latency_s=time.perf_counter() - t0)
 
     def _put_with_growth(self, key: int, value: bytes, max_growths: int = 4,
                          deadline_ms: float | None = None) -> None:
@@ -421,8 +368,8 @@ class LiveCoordinator:
             try:
                 self.cluster.put(key, value, deadline_ms=deadline_ms)
                 return
-            except ProtocolError as exc:
-                if "overflow" not in str(exc) or self.spawn_server is None:
+            except ServerError as exc:
+                if not _is_overflow(exc) or self.spawn_server is None:
                     raise
             # Midpoint splits halve the interval, not necessarily the
             # bytes, so a skewed interval may need more than one growth.
@@ -459,8 +406,6 @@ class LiveCoordinator:
         self.stats.failovers += 1
         self._down_since[addr] = time.perf_counter()
         self._emit("failover", f"{addr[0]}:{addr[1]} condemned, ring repaired")
-        if self.metrics is not None:
-            self.metrics.record_failover()
         return True
 
     def health_check(self) -> list[tuple[str, int]]:
@@ -510,12 +455,9 @@ class LiveCoordinator:
             self.breaker.record_success(addr)  # close any open breaker
             self.stats.recoveries += 1
             self.stats.recovered_records += moved
-            downtime = 0.0
             if addr in self._down_since:
-                downtime = time.perf_counter() - self._down_since.pop(addr)
-                self.stats.downtime_s += downtime
-            if self.metrics is not None:
-                self.metrics.record_recovery(downtime)
+                self.stats.downtime_s += (time.perf_counter()
+                                          - self._down_since.pop(addr))
             recovered.append(addr)
         return recovered
 

@@ -79,7 +79,8 @@ class ReplicaManager:
     its ranges (``claim_failed`` → ``drain`` → ``release``), serializes
     primary/replica write pairs through a striped key-lock pool, and
     repairs replica placement after ring changes (``rebuild_bucket``).
-    All counters are best-effort diagnostics, guarded by ``_stats``.
+    Its two counters, ``replica_hits`` and ``handoff_hints``, are
+    guarded by ``_stats``.
     """
 
     LOCK_STRIPES = 64
@@ -92,15 +93,8 @@ class ReplicaManager:
         #: per failed address: its entries in ``_ranges``
         self._claims: dict[tuple[str, int], list[tuple]] = {}
         self._stats = threading.Lock()
-        self.replica_writes = 0
-        self.replica_write_failures = 0
         self.replica_hits = 0
         self.handoff_hints = 0       #: hints queued since the last drain
-        self.handoff_peak = 0        #: high-water mark of the hint queue
-        self.drained_records = 0
-        self.rebuild_bytes = 0
-        self.rebuilt_records = 0
-        self.rebuild_failures = 0
 
     # ------------------------------------------------------------ locking
 
@@ -167,25 +161,18 @@ class ReplicaManager:
             if client is None:
                 # Buddy failed over between routing and here; the next
                 # rebuild re-places this range.
-                with self._stats:
-                    self.replica_write_failures += 1
                 return
         try:
             client.put(key, value, deadline_ms=deadline_ms,
                        priority=priority, replica=True)
         except (ProtocolError, OSError) as exc:
-            with self._stats:
-                self.replica_write_failures += 1
             # The primary already acked: this write *happened*, so it
             # must never surface as a typed refusal ("definitely not
             # applied").  A plain ProtocolError is classified unknown.
             raise ProtocolError(f"replica write failed: {exc}") from exc
-        with self._stats:
-            self.replica_writes += 1
-            if hinted:
+        if hinted:
+            with self._stats:
                 self.handoff_hints += 1
-                self.handoff_peak = max(self.handoff_peak,
-                                        self.handoff_hints)
 
     def replicate_many(self, items: list[tuple[int, bytes]],
                        deadline_ms: float | None = None,
@@ -211,22 +198,15 @@ class ReplicaManager:
                     continue
                 client = self.cluster.clients.get(addr)
                 if client is None:
-                    with self._stats:
-                        self.replica_write_failures += 1
                     continue
             groups.setdefault(client, []).append((key, value))
         for result in self.cluster._put_groups(groups, deadline_ms,
                                                priority, replica=True):
             ok.extend(result.stored)
-            with self._stats:
-                self.replica_writes += len(result.stored)
-                if result.error is not None:
-                    self.replica_write_failures += 1
-                if hinted:
+            if hinted:
+                with self._stats:
                     self.handoff_hints += sum(1 for k in result.stored
                                               if k in hinted)
-                    self.handoff_peak = max(self.handoff_peak,
-                                            self.handoff_hints)
         return ok
 
     def forget(self, key: int, deadline_ms: float | None = None) -> None:
@@ -360,7 +340,6 @@ class ReplicaManager:
             drained += finish_move(
                 prepare_move(src, [(lo, hi)], replica=True), home)
         with self._stats:
-            self.drained_records += len(drained)
             self.handoff_hints = 0
         return drained
 
@@ -384,7 +363,7 @@ class ReplicaManager:
         two-phase-extracts stray replicas off every other node.  Runs
         with the whole key-lock pool held so no concurrent write pair
         can interleave with the sweep-then-copy.  Returns records
-        re-placed; failures are counted, never raised — a replica
+        re-placed; failures are swallowed, never raised — a replica
         hiccup must not fail the topology change that triggered it.
         """
         ring = self.cluster.ring
@@ -407,17 +386,12 @@ class ReplicaManager:
                         if result.error is not None:
                             raise result.error
                         placed += len(records)
-                        with self._stats:
-                            self.rebuilt_records += len(records)
-                            self.rebuild_bytes += sum(
-                                len(v) for _, v in records)
                     for addr, other in list(self.cluster.clients.items()):
                         if other is buddy_client or addr == owner:
                             continue
                         other.extract(lo, hi, replica=True)
                 except (ProtocolError, OSError):
-                    with self._stats:
-                        self.rebuild_failures += 1
+                    pass  # never fail the ring change that called us
         return placed
 
     def rebuild_touching(self, positions) -> int:
@@ -433,22 +407,3 @@ class ReplicaManager:
                 if b not in affected:
                     affected.append(b)
         return sum(self.rebuild_bucket(b) for b in affected)
-
-    # --------------------------------------------------------- diagnostics
-
-    def snapshot(self) -> dict:
-        """Counter snapshot (consistent under the stats lock)."""
-        with self._stats:
-            return {
-                "replica_writes": self.replica_writes,
-                "replica_write_failures": self.replica_write_failures,
-                "replica_hits": self.replica_hits,
-                "handoff_depth": self.handoff_hints,
-                "handoff_peak": self.handoff_peak,
-                "drained_records": self.drained_records,
-                "rebuild_bytes": self.rebuild_bytes,
-                "rebuilt_records": self.rebuilt_records,
-                "rebuild_failures": self.rebuild_failures,
-                "claimed_ranges": sum(len(c) for c in
-                                      self._claims.values()),
-            }

@@ -5,7 +5,8 @@ import pytest
 from repro.core.config import EvictionConfig
 from repro.live.client import LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
-from repro.live.protocol import ProtocolError
+from repro.live.protocol import (DeadlineError, OverloadedError,
+                                 ProtocolError)
 from repro.live.server import LiveCacheServer
 
 
@@ -93,6 +94,73 @@ class TestQueryLoop:
         assert spawned
         coord.stop_spawned()
         assert coord.spawned == []
+
+
+def _no_growth():
+    pytest.fail("a fill failure other than the primary's overflow grew "
+                "the cluster")
+
+
+class TestFillFailures:
+    """The cache fill after a fast-path miss grows the cluster only on
+    the primary's typed overflow refusal; any other failure drops the
+    write and still answers the query."""
+
+    @pytest.mark.parametrize("error", [
+        OverloadedError("overloaded"),
+        DeadlineError("deadline_exceeded"),
+        ProtocolError("put failed: connection reset"),
+        ProtocolError("replica write failed: overflow"),
+        OSError("broken pipe"),
+    ])
+    def test_failed_fill_returns_value_and_counts(self, small_cluster,
+                                                  monkeypatch, error):
+        cluster, _ = small_cluster
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cluster, "put", refuse)
+        coord = LiveCoordinator(cluster, compute, spawn_server=_no_growth)
+        assert coord.query(7) == compute(7)
+        assert coord.stats.misses == 1
+        assert coord.stats.dropped_writes == 1
+        # Background traffic is dropped instead of answered.
+        assert coord.prefetch(9) is False
+        assert coord.stats.shed_background == 1
+        assert coord.stats.dropped_writes == 1
+        assert coord.stats.grown_servers == 0
+
+    def test_full_replica_namespace_does_not_grow(self):
+        """A buddy whose replica namespace is full refuses the mirror
+        write; that must neither boot servers nor escape ``query()``.
+        The primary applied the write, so a re-query hits."""
+        def boot():
+            return LiveCacheServer(capacity_bytes=1 << 20,
+                                   replica_headroom=0.001).start()
+
+        def big(key: int) -> bytes:
+            return key.to_bytes(8, "big") * 250  # 2000 B > 1 KiB replica
+
+        servers = [boot() for _ in range(2)]
+        cluster = LiveClusterClient([s.address for s in servers],
+                                    ring_range=1 << 20, replication=True)
+        coord = LiveCoordinator(cluster, big, spawn_server=boot)
+        keys = [i * (1 << 17) + 1 for i in range(8)]
+        try:
+            for k in keys:
+                assert coord.query(k) == big(k)
+            assert coord.stats.grown_servers == 0
+            assert coord.spawned == []
+            assert coord.stats.dropped_writes == len(keys)
+            for k in keys:
+                assert coord.query(k) == big(k)
+            assert coord.stats.hits == len(keys)
+        finally:
+            coord.stop_spawned()
+            cluster.close()
+            for s in servers:
+                s.stop()
 
 
 class TestEndToEndShoreline:

@@ -164,11 +164,9 @@ class TestThreadSafety:
             for i in range(per_thread):
                 m.record_query(hit=i % 2 == 0, latency_s=0.001)
                 if i % 7 == 0:
-                    m.record_retry()
+                    m.record_eviction(2, 5)
                 if i % 11 == 0:
-                    m.record_shed(background=i % 2 == 0)
-                if i % 13 == 0:
-                    m.record_batch(3)
+                    m.record_split(allocated=i % 2 == 0)
 
         threads = [threading.Thread(target=hammer, args=(t,))
                    for t in range(n_threads)]
@@ -180,16 +178,22 @@ class TestThreadSafety:
                    sim_time_s=0.0, cost_usd=0.0)
 
         total = per_thread * n_threads
+        evicting = n_threads * len(range(0, per_thread, 7))
+        splitting = range(0, per_thread, 11)
         assert m.total_queries == total
         assert m.total_hits == total // 2
         assert m.total_misses == total // 2
-        assert m.total_retries == n_threads * len(range(0, per_thread, 7))
-        assert m.total_batches == n_threads * len(range(0, per_thread, 13))
-        assert m.total_batched_keys == 3 * m.total_batches
+        assert m.total_evictions == 2 * evicting
         # Exactly one step absorbed everything; none were orphaned.
         assert len(m.steps) == 1
-        assert m.steps[0].queries == total
-        assert m.steps[0].hits + m.steps[0].misses == total
+        s = m.steps[0]
+        assert s.queries == total
+        assert s.hits + s.misses == total
+        assert s.evictions == 2 * evicting
+        assert s.eviction_candidates == 5 * evicting
+        assert s.splits == n_threads * len(splitting)
+        assert s.allocations == n_threads * sum(
+            1 for i in splitting if i % 2 == 0)
 
     def test_snapshot_is_internally_consistent_mid_hammer(self):
         import threading

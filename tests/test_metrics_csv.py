@@ -12,7 +12,10 @@ def test_steps_to_csv(tmp_path):
     path = tmp_path / "steps.csv"
     m.steps_to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("step,queries,hits")
+    # The paper's per-step model (Sec. IV-A) and nothing else.
+    assert lines[0] == ("step,queries,hits,misses,evictions,splits,"
+                        "allocations,merges,node_count,used_bytes,"
+                        "capacity_bytes,latency_sum_s,sim_time_s,cost_usd")
     assert len(lines) == 4
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert first["queries"] == "1"
