@@ -84,6 +84,55 @@ class BPlusTree:
         self.root: _Node = LeafNode()
         self._size = 0
 
+    @classmethod
+    def from_sorted(cls, keys, order: int = 64) -> BPlusTree:
+        """Bulk-load a keys-only tree (every value ``None``) in ``O(n)``.
+
+        ``keys`` must be strictly increasing.  Leaves are packed as full
+        as the order allows, with sizes differing by at most one, and
+        linked left to right; each internal level groups the one below
+        the same way, its separators being the lowest key of every
+        child but the first.  The result passes :meth:`check_invariants`
+        and takes inserts and deletes like any other tree.
+
+        >>> t = BPlusTree.from_sorted(range(10), order=4)
+        >>> t.check_invariants(); list(t.keys()) == list(range(10))
+        True
+        """
+        tree = cls(order)
+        keys = list(keys)
+        n = len(keys)
+        if n == 0:
+            return tree
+        level: list[_Node] = []
+        nleaves = -(-n // order)
+        prev: LeafNode | None = None
+        for i in range(nleaves):
+            leaf = LeafNode()
+            leaf.keys = keys[i * n // nleaves:(i + 1) * n // nleaves]
+            leaf.values = [None] * len(leaf.keys)
+            if prev is not None:
+                prev.next = leaf
+            prev = leaf
+            level.append(leaf)
+        lows = [node.keys[0] for node in level]
+        while len(level) > 1:
+            c = len(level)
+            nparents = -(-c // (order + 1))
+            parents: list[_Node] = []
+            parent_lows = []
+            for i in range(nparents):
+                a, b = i * c // nparents, (i + 1) * c // nparents
+                node = InternalNode()
+                node.children = level[a:b]
+                node.keys = lows[a + 1:b]
+                parents.append(node)
+                parent_lows.append(lows[a])
+            level, lows = parents, parent_lows
+        tree.root = level[0]
+        tree._size = n
+        return tree
+
     # ------------------------------------------------------------- queries
 
     def __len__(self) -> int:

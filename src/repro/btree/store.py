@@ -2,11 +2,15 @@
 
 A :class:`NodeStore` holds a ``dict`` point index, a keys-only
 :class:`~repro.btree.bplustree.BPlusTree` over the same keys, and byte
-accounting against a capacity.  Point ops (get, put, pop) cost one dict
-probe; a new key or a pop also updates the tree.  The tree is the ordered
-index Algorithm 2 needs: :meth:`NodeStore.sweep` is a search for the start
-key followed by a walk of the linked leaves, and the range count, range
-bytes and k-th key walk the same leaves.
+accounting against a capacity.  Point ops (get, put, pop) touch only the
+dict and the byte count; a new key or a pop just drops the tree, marking
+the ordered index stale.  The tree is the ordered index Algorithm 2
+needs, and only range ops use it, so the first range op after a change
+bulk-loads it again from the sorted keys
+(:meth:`~repro.btree.bplustree.BPlusTree.from_sorted`, ``O(n log n)`` for
+the sort).  :meth:`NodeStore.sweep` is then a search for the start key
+followed by a walk of the linked leaves, and the range count, range bytes
+and k-th key walk the same leaves.
 
 One size rule: a value is charged ``len(value)`` bytes — the payload
 length for the live server's ``bytes``, ``nbytes`` for the simulator's
@@ -23,7 +27,9 @@ from repro.btree.sweep import sweep_range
 
 
 class NodeStore:
-    """A capacity-bounded key/value store with an ordered key index.
+    """A capacity-bounded key/value store with an ordered key index,
+    built on demand: writes keep only the dict, range ops rebuild the
+    tree when a write has made it stale.
 
     Parameters
     ----------
@@ -50,14 +56,24 @@ class NodeStore:
         self.used_bytes = 0
         #: key -> value; the values live only here
         self.index: dict = {}
-        #: the same keys, ordered; its values are all ``None``
-        self.tree = BPlusTree(order=order)
+        self._order = order
+        # the index's keys, ordered; None while stale (see ``tree``)
+        self._tree: BPlusTree | None = None
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __contains__(self, key) -> bool:
         return key in self.index
+
+    @property
+    def tree(self) -> BPlusTree:
+        """The keys-only ordered index over the current keys (values all
+        ``None``), bulk-loaded from ``sorted(index)`` if a new key or a
+        pop made it stale."""
+        if self._tree is None:
+            self._tree = BPlusTree.from_sorted(sorted(self.index), order=self._order)
+        return self._tree
 
     @property
     def free_bytes(self) -> int:
@@ -88,7 +104,7 @@ class NodeStore:
             return None
         self.used_bytes += size - freed
         if old is None:
-            self.tree.insert(key, None)
+            self._tree = None
         self.index[key] = value
         return freed
 
@@ -96,7 +112,7 @@ class NodeStore:
         """Remove and return the value at ``key``, or ``None`` if absent."""
         value = self.index.pop(key, None)
         if value is not None:
-            self.tree.delete(key)
+            self._tree = None
             self.used_bytes -= len(value)
         return value
 

@@ -44,7 +44,3 @@ def sweep_range(tree: BPlusTree, k_start, k_end) -> Iterator[tuple]:
             yield key, current.values[i]
         current = current.next
 
-
-def collect_range(tree: BPlusTree, k_start, k_end) -> list[tuple]:
-    """Materialize :func:`sweep_range` into a list (safe to mutate after)."""
-    return list(sweep_range(tree, k_start, k_end))

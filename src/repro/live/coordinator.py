@@ -62,13 +62,14 @@ from repro.live.client import LiveClusterClient
 from repro.live.protocol import (OK, PING, DeadlineError, Frame,
                                  OverloadedError, ProtocolError, ServerError,
                                  recv_frame, send_frame)
+from repro.live.replica import ReplicaWriteError
 from repro.live.server import LiveCacheServer
 
 
 def _is_overflow(exc: Exception) -> bool:
     """The primary's typed ``OVERFLOW`` refusal: the one fill failure
-    growth can cure.  A full buddy replica namespace surfaces as a plain
-    :class:`ProtocolError` ("replica write failed: ...") and is not one."""
+    growth can cure.  A full buddy replica namespace surfaces as a
+    :class:`~repro.live.replica.ReplicaWriteError` and is not one."""
     return isinstance(exc, ServerError) and str(exc) == "overflow"
 
 
@@ -89,6 +90,7 @@ class LiveQueryStats:
     recoveries: int = 0
     recovered_records: int = 0
     dropped_writes: int = 0
+    unreplicated_writes: int = 0  #: fills the primary holds but no buddy
     downtime_s: float = 0.0
     # overload-path counters
     overloaded: int = 0          #: queries the cluster shed (recomputed)
@@ -214,10 +216,12 @@ class LiveCoordinator:
 
         The cache fill after a miss only grows the cluster on the
         primary's ``OVERFLOW`` refusal; with no ``spawn_server`` that
-        refusal raises.  Any other failed fill (shed, deadline,
-        transport, a full buddy replica namespace) returns the computed
-        value and counts in ``dropped_writes`` — or, for background
-        traffic, returns ``None`` and counts in ``shed_background``.
+        refusal raises.  A fill the primary applied but whose buddy copy
+        failed (a full replica namespace, say) is cached: it returns the
+        value and counts in ``unreplicated_writes``.  Any other failed
+        fill (shed, deadline, transport) returns the computed value and
+        counts in ``dropped_writes`` — or, for background traffic,
+        returns ``None`` and counts in ``shed_background``.
         """
         if (self.health_every and self.stats.queries
                 and self.stats.queries % self.health_every == 0):
@@ -273,6 +277,8 @@ class LiveCoordinator:
         try:
             self._put_with_growth(key, value,
                                   deadline_ms=self._remaining_ms(expires_at))
+        except ReplicaWriteError:
+            self.stats.unreplicated_writes += 1
         except self.FAILURES as exc:
             if self.spawn_server is None and _is_overflow(exc):
                 raise
@@ -321,6 +327,8 @@ class LiveCoordinator:
         try:
             self._put_with_growth(key, value,
                                   deadline_ms=self._remaining_ms(expires_at))
+        except ReplicaWriteError:
+            self.stats.unreplicated_writes += 1
         except self.FAILURES:
             self.stats.dropped_writes += 1
 

@@ -26,11 +26,11 @@ lock pool.  Without that serialization two concurrent puts to one key
 could commit in opposite orders at primary and replica, and a
 post-crash buddy read would observe a superseded value — a stale read
 the consistency checker rightly rejects.  A replica write that fails
-after the primary acked surfaces as a plain
-:class:`~repro.live.protocol.ProtocolError`, which the history recorder
-classifies *unknown* (it may have applied): never a typed refusal,
-because "refused" claims the write did not happen while the primary
-already holds it.
+after the primary acked surfaces as a :class:`ReplicaWriteError`, a
+:class:`~repro.live.protocol.ProtocolError` but not a ``ServerError``,
+which the history recorder classifies *unknown* (it may have applied):
+never a typed refusal, because "refused" claims the write did not
+happen while the primary already holds it.
 
 Hinted handoff
 --------------
@@ -69,6 +69,11 @@ from repro.live.protocol import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.client import LiveCacheClient, LiveClusterClient
+
+
+class ReplicaWriteError(ProtocolError):
+    """The buddy copy of a write failed after the primary applied it:
+    the value is cached, just not mirrored."""
 
 
 class ReplicaManager:
@@ -168,8 +173,8 @@ class ReplicaManager:
         except (ProtocolError, OSError) as exc:
             # The primary already acked: this write *happened*, so it
             # must never surface as a typed refusal ("definitely not
-            # applied").  A plain ProtocolError is classified unknown.
-            raise ProtocolError(f"replica write failed: {exc}") from exc
+            # applied").  Not being a ServerError, it is classified unknown.
+            raise ReplicaWriteError(f"replica write failed: {exc}") from exc
         if hinted:
             with self._stats:
                 self.handoff_hints += 1

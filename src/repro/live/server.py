@@ -11,10 +11,11 @@ A ``ThreadingTCPServer`` accepts many clients.  Each namespace is one
 :class:`~repro.btree.store.NodeStore` — the class each simulated node
 uses — under one lock: its ``dict`` point index serves get, put, delete
 and the multi-ops (a batch takes the lock once), and its B+-tree over
-the same keys is the ordered index the range ops sweep.  Range ops
-(sweep/extract family) snapshot *under* the lock but stream the records
-onto the socket *after* releasing it — a slow migration reader cannot
-stall the user-facing ops on the node.  Connection threads are
+the same keys, rebuilt by the first range op after a write, is the
+ordered index the range ops sweep.  Range ops (sweep/extract family)
+snapshot *under* the lock but stream the records onto the socket
+*after* releasing it — a slow migration reader cannot stall the
+user-facing ops on the node.  Connection threads are
 cheap (they block on ``recv``), but *work* is not: every op (a batch
 counts once) passes an :class:`AdmissionGate`
 that bounds concurrent execution (``max_workers``) and the number of ops
@@ -170,10 +171,12 @@ class _Store:
     and the ``stats`` counters.
 
     Every point and batch op is one dict probe per key in the store's
-    point index (a batch takes the lock once); ``sweep`` and
-    ``extract_prepare`` walk the store's ordered leaves exactly as
-    Algorithm 2's sweep does.  One lock over the store makes overflow an
-    atomic node-wide decision.
+    point index (a batch takes the lock once) and leaves the ordered
+    index alone, only marking it stale on a new key or a delete;
+    ``sweep`` and ``extract_prepare`` walk the store's ordered leaves
+    exactly as Algorithm 2's sweep does, the first one after a write
+    rebuilding the tree under the lock.  One lock over the store makes
+    overflow an atomic node-wide decision.
     """
 
     def __init__(self, capacity_bytes: int, order: int,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.btree.bplustree import BPlusTree
-from repro.btree.sweep import collect_range
+from repro.btree.sweep import sweep_range
 
 keys_st = st.integers(min_value=0, max_value=10_000)
 
@@ -50,7 +50,7 @@ def test_sweep_matches_model_range(keys, a, b):
     for k in keys:
         tree.insert(k, k * 2)
     expected = sorted((k, k * 2) for k in keys if lo <= k <= hi)
-    assert collect_range(tree, lo, hi) == expected
+    assert list(sweep_range(tree, lo, hi)) == expected
 
 
 @given(st.lists(keys_st, min_size=1, max_size=150, unique=True))
@@ -73,6 +73,43 @@ def test_count_range_matches_model(keys, a, b):
     for k in keys:
         tree.insert(k, None)
     assert tree.count_range(lo, hi) == sum(1 for k in keys if lo <= k <= hi)
+
+
+@given(st.sampled_from([3, 4, 8, 64]), st.integers(min_value=0, max_value=2000),
+       st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 9_999)), max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_from_sorted_matches_inserts(order, n, rnd, ops):
+    """The bulk load is a sound tree holding exactly the keys incremental
+    inserts would, and stays sound under later inserts and deletes."""
+    keys = sorted(rnd.sample(range(10_000), n))
+    bulk = BPlusTree.from_sorted(keys, order=order)
+    bulk.check_invariants()
+    grown = BPlusTree(order=order)
+    for k in keys:
+        grown.insert(k, None)
+    assert list(bulk.keys()) == list(grown.keys()) == keys
+    assert len(bulk) == n
+    model = set(keys)
+    for is_insert, k in ops:
+        if is_insert:
+            bulk.insert(k, None)
+            model.add(k)
+        elif k in model:
+            bulk.delete(k)
+            model.discard(k)
+    bulk.check_invariants()
+    assert list(bulk.keys()) == sorted(model)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 8])
+def test_from_sorted_every_size_up_to_three_levels(order):
+    """Every key count across the leaf- and internal-level packing
+    boundaries of a three-level tree."""
+    for n in range(order * (order + 1) * 3):
+        tree = BPlusTree.from_sorted(range(n), order=order)
+        tree.check_invariants()
+        assert list(tree.keys()) == list(range(n))
 
 
 class BTreeMachine(RuleBasedStateMachine):

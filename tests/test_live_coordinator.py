@@ -7,6 +7,7 @@ from repro.live.client import LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
 from repro.live.protocol import (DeadlineError, OverloadedError,
                                  ProtocolError)
+from repro.live.replica import ReplicaWriteError
 from repro.live.server import LiveCacheServer
 
 
@@ -103,14 +104,16 @@ def _no_growth():
 
 class TestFillFailures:
     """The cache fill after a fast-path miss grows the cluster only on
-    the primary's typed overflow refusal; any other failure drops the
-    write and still answers the query."""
+    the primary's typed overflow refusal; any other failure still
+    answers the query.  A failed buddy copy leaves the write cached on
+    the primary (``unreplicated_writes``); every other failure drops it
+    (``dropped_writes``)."""
 
     @pytest.mark.parametrize("error", [
         OverloadedError("overloaded"),
         DeadlineError("deadline_exceeded"),
         ProtocolError("put failed: connection reset"),
-        ProtocolError("replica write failed: overflow"),
+        ReplicaWriteError("replica write failed: overflow"),
         OSError("broken pipe"),
     ])
     def test_failed_fill_returns_value_and_counts(self, small_cluster,
@@ -124,11 +127,19 @@ class TestFillFailures:
         coord = LiveCoordinator(cluster, compute, spawn_server=_no_growth)
         assert coord.query(7) == compute(7)
         assert coord.stats.misses == 1
-        assert coord.stats.dropped_writes == 1
-        # Background traffic is dropped instead of answered.
-        assert coord.prefetch(9) is False
-        assert coord.stats.shed_background == 1
-        assert coord.stats.dropped_writes == 1
+        if isinstance(error, ReplicaWriteError):
+            # The primary holds the fill, so a prefetch cached its key.
+            assert coord.prefetch(9) is True
+            assert coord.stats.unreplicated_writes == 2
+            assert coord.stats.dropped_writes == 0
+            assert coord.stats.shed_background == 0
+        else:
+            assert coord.stats.dropped_writes == 1
+            # Background traffic is dropped instead of answered.
+            assert coord.prefetch(9) is False
+            assert coord.stats.shed_background == 1
+            assert coord.stats.dropped_writes == 1
+            assert coord.stats.unreplicated_writes == 0
         assert coord.stats.grown_servers == 0
 
     def test_full_replica_namespace_does_not_grow(self):
@@ -152,7 +163,8 @@ class TestFillFailures:
                 assert coord.query(k) == big(k)
             assert coord.stats.grown_servers == 0
             assert coord.spawned == []
-            assert coord.stats.dropped_writes == len(keys)
+            assert coord.stats.dropped_writes == 0
+            assert coord.stats.unreplicated_writes == len(keys)
             for k in keys:
                 assert coord.query(k) == big(k)
             assert coord.stats.hits == len(keys)

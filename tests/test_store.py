@@ -1,11 +1,16 @@
 """The node store against a dict model (Hypothesis stateful test)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.btree.bplustree import BPlusTree
 from repro.btree.store import NodeStore
+from repro.live.server import _Store
+from tests.conftest import check_stores
 
 CAPACITY = 400
 keys_st = st.integers(min_value=0, max_value=60)
@@ -96,3 +101,53 @@ def test_check_catches_byte_skew():
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         NodeStore(0)
+
+
+def test_point_ops_never_touch_the_tree(monkeypatch):
+    """put and pop keep only the dict; the ordered index is rebuilt by
+    the next range op, never maintained key by key."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("point op maintained the B+-tree")
+
+    monkeypatch.setattr(BPlusTree, "insert", forbidden)
+    monkeypatch.setattr(BPlusTree, "delete", forbidden)
+    store = NodeStore(10_000, order=3)
+    for k in range(200):
+        assert store.put(k * 7 % 200, b"v%d" % k) == 0
+        if k % 3 == 0:
+            assert store.sweep(50, 60) == [
+                (key, store.get(key)) for key in range(50, 61) if key in store]
+    for k in range(0, 200, 2):
+        assert store.pop(k) is not None
+    old = store.get(1)
+    assert store.put(1, b"new") == len(old)  # an overwrite, not a new key
+    assert [k for k, _ in store.sweep(0, 20)] == list(range(1, 21, 2))
+    assert store.count_in(0, 199) == 100
+    assert store.kth_key(0, 199, 50) == 101
+    store.check()
+
+
+def test_live_store_snapshot_after_interleaved_writes():
+    store = _Store(capacity_bytes=1 << 20, order=4, lease_s=1.0)
+    server = SimpleNamespace(store=store, replica_store=store)
+    model: dict[int, bytes] = {}
+    for i in range(300):
+        key = i * 37 % 500
+        if i % 5 == 4:
+            gone = (i - 1) * 37 % 500  # the previous step's key
+            assert store.delete(gone) == len(model.pop(gone))
+        elif i % 7 == 6:
+            batch = [(key + j, b"m%d" % i) for j in range(3)]
+            stored, _, _, error = store.multi_put(batch)
+            assert error is None and stored == [k for k, _ in batch]
+            model.update(batch)
+        else:
+            assert store.put(key, b"p%d" % i)[0]
+            model[key] = b"p%d" % i
+        if i % 4 == 1:
+            lo, hi = 100, 400
+            assert store.snapshot_range(lo, hi) == sorted(
+                (k, v) for k, v in model.items() if lo <= k <= hi)
+            check_stores([server])
+    assert store.snapshot_range(0, 1 << 20) == sorted(model.items())
+    check_stores([server])

@@ -1,7 +1,7 @@
 """Unit tests for the leaf-level range sweep."""
 
 from repro.btree.bplustree import BPlusTree
-from repro.btree.sweep import collect_range, sweep_range
+from repro.btree.sweep import sweep_range
 
 
 def build(keys, order=4):
@@ -14,11 +14,11 @@ def build(keys, order=4):
 class TestSweepRange:
     def test_full_range(self):
         t = build(range(20))
-        assert collect_range(t, 0, 19) == [(k, k * 10) for k in range(20)]
+        assert list(sweep_range(t, 0, 19)) == [(k, k * 10) for k in range(20)]
 
     def test_interior_range_inclusive_bounds(self):
         t = build(range(0, 100, 5))
-        got = collect_range(t, 10, 30)
+        got = list(sweep_range(t, 10, 30))
         assert got == [(10, 100), (15, 150), (20, 200), (25, 250), (30, 300)]
 
     def test_start_key_absent(self):
@@ -31,22 +31,22 @@ class TestSweepRange:
 
     def test_empty_when_start_exceeds_end(self):
         t = build(range(10))
-        assert collect_range(t, 5, 4) == []
+        assert list(sweep_range(t, 5, 4)) == []
 
     def test_empty_tree(self):
-        assert collect_range(BPlusTree(), 0, 100) == []
+        assert list(sweep_range(BPlusTree(), 0, 100)) == []
 
     def test_range_beyond_max(self):
         t = build(range(10))
-        assert collect_range(t, 100, 200) == []
+        assert list(sweep_range(t, 100, 200)) == []
 
     def test_range_below_min(self):
         t = build(range(10, 20))
-        assert collect_range(t, 0, 9) == []
+        assert list(sweep_range(t, 0, 9)) == []
 
     def test_single_key_range(self):
         t = build(range(10))
-        assert collect_range(t, 4, 4) == [(4, 40)]
+        assert list(sweep_range(t, 4, 4)) == [(4, 40)]
 
     def test_spans_many_leaves(self):
         t = build(range(500), order=3)  # forces a deep tree, many leaves
