@@ -39,8 +39,7 @@ import itertools
 import threading
 from dataclasses import dataclass, replace
 
-from repro.live.protocol import (DeadlineError, OverloadedError,
-                                 ProtocolError, ServerError)
+from repro.live.protocol import REFUSALS, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ class RecordingClient:
         marker = self._retry_marker()
         try:
             self.cluster.put(key, value, **kwargs)
-        except (OverloadedError, DeadlineError, ServerError):
+        except REFUSALS:
             # A typed refusal is answered *instead of* applying — but
             # only trust it if no transport retry blurred the attempt.
             outcome = "fail" if self._retry_marker() == marker else "unknown"

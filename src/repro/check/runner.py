@@ -136,7 +136,6 @@ class _Fleet:
                           for i in range(config.servers)]
         self.spawned: list[tuple[tuple[str, int], LiveCacheServer]] = []
         self._gate_saved: dict[int, int] = {}
-        self._reapers: list[threading.Thread] = []
 
     def _boot(self, host: str = "127.0.0.1", port: int = 0) -> LiveCacheServer:
         return LiveCacheServer(
@@ -144,25 +143,11 @@ class _Fleet:
             capacity_bytes=self.config.capacity_bytes,
             max_workers=8, max_queue=32).start()
 
-    def retire(self, server: LiveCacheServer) -> None:
-        """Stop a server without blocking the caller.
-
-        ``socketserver.shutdown()`` waits out ``serve_forever``'s poll
-        interval (~0.5s) — stalling the nemesis thread that long would
-        push the rest of its schedule past the workload's end.
-        """
-        reaper = threading.Thread(target=server.stop, daemon=True,
-                                  name="check-reaper")
-        reaper.start()
-        self._reapers.append(reaper)
-
     def stop_all(self) -> None:
         for server in list(self.base.values()):
             server.stop()
         for _, server in self.spawned:
             server.stop()
-        for reaper in self._reapers:
-            reaper.join(timeout=5.0)
 
 
 def _split_bucket(cluster: LiveClusterClient) -> int | None:
@@ -234,7 +219,7 @@ def _wire_nemesis(config: CheckConfig, cluster: LiveClusterClient,
             return
         addr, server = fleet.spawned.pop()
         moved = cluster.remove_server(addr)
-        fleet.retire(server)
+        server.stop()
         history.note(f"merge: -server {addr[1]}, {moved} drained")
 
     def overload(slot: int, active: bool) -> None:

@@ -27,6 +27,15 @@ import time
 from repro.live.protocol import FrameReader, ProtocolError, encode, send_frame
 
 
+def _shut(sock: socket.socket) -> None:
+    """Shut a socket down, waking any thread blocked on it, then close."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already shut
+    sock.close()
+
+
 class FaultProxy:
     """A controllable man-in-the-middle for one upstream server.
 
@@ -58,11 +67,13 @@ class FaultProxy:
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(16)
+        self._name = f"fault-proxy-{self.address[1]}"
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._running = False
         self._accept_thread: threading.Thread | None = None
         self._sessions: set[tuple[socket.socket, socket.socket]] = set()
+        self._relays: list[threading.Thread] = []
         # fault state (mutable at runtime via set_faults/partition/heal)
         self.drop_frac = 0.0
         self.delay_s = 0.0
@@ -87,22 +98,23 @@ class FaultProxy:
             raise RuntimeError("proxy already started")
         self._running = True
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"fault-proxy-{self.address[1]}",
-            daemon=True)
+            target=self._accept_loop, name=self._name, daemon=True)
         self._accept_thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting and sever every relayed session."""
+        """Stop accepting, sever every relayed session, and join every
+        proxy thread.  On Linux ``close()`` does not wake a thread
+        blocked in ``accept()`` or ``recv()``; ``shutdown()`` does."""
         self._running = False
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
-        self._sever_sessions()
+        _shut(self._listener)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
             self._accept_thread = None
+        self._sever_sessions()
+        for relay in self._relays:
+            relay.join(timeout=5)
+        self._relays.clear()
 
     def __enter__(self) -> "FaultProxy":
         return self.start()
@@ -151,10 +163,7 @@ class FaultProxy:
             self._sessions.clear()
         for pair in sessions:
             for sock in pair:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - best effort
-                    pass
+                _shut(sock)
 
     def _accept_loop(self) -> None:
         while self._running:
@@ -175,9 +184,13 @@ class FaultProxy:
             pair = (conn, up)
             with self._lock:
                 self._sessions.add(pair)
+            self._relays = [t for t in self._relays if t.is_alive()]
             for src, dst in ((conn, up), (up, conn)):
-                threading.Thread(target=self._relay, args=(src, dst, pair),
-                                 daemon=True).start()
+                relay = threading.Thread(
+                    target=self._relay, args=(src, dst, pair), daemon=True,
+                    name=f"{self._name}-relay")
+                relay.start()
+                self._relays.append(relay)
 
     def _relay(self, src: socket.socket, dst: socket.socket,
                pair: tuple[socket.socket, socket.socket]) -> None:
@@ -207,10 +220,7 @@ class FaultProxy:
             with self._lock:
                 self._sessions.discard(pair)
             for sock in pair:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - best effort
-                    pass
+                _shut(sock)
 
     def _garbled_bytes(self, frame) -> bytes:
         """Re-encode the frame with its version byte flipped: the peer's

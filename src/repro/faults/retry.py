@@ -10,12 +10,18 @@ load-bearing (and property-tested):
   deadline is abandoned and the last error re-raised;
 * at most ``max_attempts`` calls are made, jitter or not.
 
-Retrying is only ever correct for idempotent operations.  ``get``,
-``put`` (same key ⇒ same derived bytes), ``delete``, ``ping`` and
-``stats`` qualify; the streaming range ops (``sweep``/``extract``) do
-not — a replayed ``extract`` would silently lose the records the first
-half-run already removed — so the client never routes them through this
-module.
+Retrying is only ever correct for operations that are safe to resend.
+Every live client op is: ``get``, ``delete``, ``ping`` and ``stats``;
+``put`` (same key ⇒ same derived bytes); ``sweep`` (read-only);
+``extract_prepare`` (it retains its records — a replay takes a fresh
+token and the stale one lease-expires); ``extract_commit`` and
+``extract_abort`` (idempotent at the server); and the batched
+``multi_get``/``multi_put``, which resend only their unacknowledged
+suffix.  A one-shot destructive extract would not qualify — a replay
+would lose the records the first half-run removed — which is why
+extraction is two-phase.  The client retries only transport failures:
+a typed refusal (``REFUSALS`` in :mod:`repro.live.protocol`) is every
+call's ``give_up_on``, raised at once.
 """
 
 from __future__ import annotations

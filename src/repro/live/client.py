@@ -44,11 +44,10 @@ from repro.live.replica import ReplicaManager
 from repro.live.protocol import (
     BACKGROUND, DEADLINE, DELETE, EXTRACT_ABORT, EXTRACT_COMMIT,
     EXTRACT_PREPARE, FOUND, GET, IF_ABSENT, MAX_BATCH, MULTI_GET, MULTI_PUT,
-    NONE32, OK, OVERFLOW, PING, PUT, RANGE, RECORDS, REPLICA, STATS, SWEEP,
-    DeadlineError, Frame, FrameReader, OverloadedError, ProtocolError,
-    ServerError, describe, enable_nodelay, error_from_reply, pack_keys,
-    pack_records, send_frame, send_frames, split_records, unpack_pairs,
-    unpack_records)
+    NONE32, OK, OVERFLOW, PING, PUT, RANGE, RECORDS, REFUSALS, REPLICA, STATS,
+    SWEEP, DeadlineError, Frame, FrameReader, ProtocolError, describe,
+    enable_nodelay, error_from_reply, pack_keys, pack_records, send_frame,
+    send_frames, split_records, unpack_pairs, unpack_records)
 
 
 def _expiry(deadline_ms: float | None) -> float | None:
@@ -89,16 +88,22 @@ class MultiPutResult:
 class LiveCacheClient:
     """A connection to one cache server (thread-safe via a lock).
 
-    Requests transparently reconnect and retry under a configurable
-    :class:`~repro.faults.retry.RetryPolicy` (deadline + exponential
-    backoff + jitter) if the connection drops between requests — a
-    server restart or transient fault doesn't strand long-lived clients.
-    ``put`` is idempotent *here* because the cache stores derived
-    results: replaying ``put(k, v)`` writes the same bytes.  ``sweep``
-    retries too (read-only; a replay just re-reads).  Of the two-phase
-    extraction family, ``extract_prepare`` is retryable (records are
-    retained; a replay issues a fresh token and the stale one
-    lease-expires), and ``extract_commit``/``extract_abort`` are
+    Every request — point, range or batch — follows one rule
+    (:meth:`_retrying`).  A typed refusal
+    (:data:`~repro.live.protocol.REFUSALS`: overloaded, deadline,
+    server error) is a complete answer: it is raised at once and the
+    connection kept, since the caller recomputes.  Any other failure (a
+    dropped connection, a garbled or out-of-step reply) drops the
+    connection, and the request is resent on a fresh one under a
+    configurable :class:`~repro.faults.retry.RetryPolicy` (deadline +
+    exponential backoff + jitter), so a server restart doesn't strand
+    long-lived clients.
+
+    Every op is safe to resend.  ``put`` is idempotent *here* because
+    the cache stores derived results: replaying ``put(k, v)`` writes
+    the same bytes.  ``sweep`` is read-only.  ``extract_prepare``
+    retains its records (a replay issues a fresh token and the stale
+    one lease-expires), and ``extract_commit``/``extract_abort`` are
     idempotent at the server, so their replays are no-ops.
     """
 
@@ -169,37 +174,46 @@ class LiveCacheClient:
             raise DeadlineError("deadline_exceeded")
         return frame._replace(ms=min(remaining_ms, NONE32))
 
-    def _attempt(self, frame: Frame,
-                 expires_at: float | None = None) -> Frame:
-        sock = self._ensure_locked()
-        try:
-            send_frame(sock, self._stamp_deadline(frame, expires_at))
-            return self._reader.recv_frame()
-        except (ProtocolError, OSError):
-            # The stream is unusable (stale connection, mid-frame loss,
-            # garbled reply): drop it so any retry starts clean.
-            self._drop_locked()
-            raise
-
     def _note_retry(self, failures: int, exc: BaseException) -> None:
         self.retries += 1
 
+    def _retrying(self, attempt: Callable[[], object]):
+        """Run ``attempt`` under the retry policy (lock held) — the one
+        retry rule of every request.  A typed refusal
+        (:data:`~repro.live.protocol.REFUSALS`) is raised at once with
+        the connection kept; any other failure leaves the stream out of
+        step, so the connection is dropped before the next attempt."""
+        def guarded():
+            try:
+                return attempt()
+            except REFUSALS:
+                raise
+            except (ProtocolError, OSError):
+                self._drop_locked()
+                raise
+        return call_with_retry(guarded, self.retry,
+                               retry_on=(ProtocolError, OSError),
+                               give_up_on=REFUSALS, rng=self._rng,
+                               on_retry=self._note_retry)
+
     def _call(self, frame: Frame, deadline_ms: float | None = None,
-              default: str = "request failed") -> Frame:
-        """One retried request → its ``OK`` reply, or the typed error."""
+              default: str = "request failed"
+              ) -> tuple[Frame, list[tuple[int, bytes]]]:
+        """One retried request → its ``OK`` reply and, for a range op,
+        the records streamed after it (else ``[]``)."""
         expires_at = _expiry(deadline_ms)
+
+        def attempt():
+            send_frame(self._ensure_locked(),
+                       self._stamp_deadline(frame, expires_at))
+            reply = self._reader.recv_frame()
+            if reply.code != OK:
+                raise error_from_reply(reply, default)
+            if frame.code in (SWEEP, EXTRACT_PREPARE):
+                return reply, self._recv_records(reply.n)
+            return reply, []
         with self._lock:
-            reply = call_with_retry(
-                lambda: self._attempt(frame, expires_at),
-                self.retry,
-                retry_on=(ProtocolError, OSError),
-                give_up_on=(DeadlineError,),
-                rng=self._rng,
-                on_retry=self._note_retry,
-            )
-        if reply.code != OK:
-            raise error_from_reply(reply, default)
-        return reply
+            return self._retrying(attempt)
 
     @staticmethod
     def _flags(priority: str | None = None, if_absent: bool = False,
@@ -218,8 +232,9 @@ class LiveCacheClient:
             replica: bool = False) -> bytes | None:
         """Fetch a value, or ``None`` on miss.  ``replica=True`` reads
         the server's replica namespace instead of the primary store."""
-        reply = self._call(Frame(GET, self._flags(priority, replica=replica),
-                                 key), deadline_ms, "get failed")
+        reply, _ = self._call(Frame(GET, self._flags(priority,
+                                                    replica=replica), key),
+                              deadline_ms, "get failed")
         return reply.body if reply.flags & FOUND else None
 
     def put(self, key: int, value: bytes, deadline_ms: float | None = None,
@@ -233,22 +248,23 @@ class LiveCacheClient:
 
         Raises
         ------
-        ProtocolError
+        CapacityError
             On server-side overflow (the live server does not split
-            itself; the cluster client handles growth),
+            itself; the coordinator handles growth),
             :class:`~repro.live.protocol.OverloadedError` on shed, or
             :class:`~repro.live.protocol.DeadlineError` on an expired
             budget.
         """
         flags = self._flags(priority, if_absent, replica)
-        return self._call(Frame(PUT, flags, key, body=value), deadline_ms,
-                          "put failed").n
+        reply, _ = self._call(Frame(PUT, flags, key, body=value),
+                              deadline_ms, "put failed")
+        return reply.n
 
     def delete(self, key: int, deadline_ms: float | None = None,
                replica: bool = False) -> tuple[bool, int]:
         """Remove a key; returns ``(existed, bytes_freed)``."""
-        reply = self._call(Frame(DELETE, self._flags(replica=replica), key),
-                           deadline_ms, "delete failed")
+        reply, _ = self._call(Frame(DELETE, self._flags(replica=replica),
+                                    key), deadline_ms, "delete failed")
         return bool(reply.flags & FOUND), reply.n
 
     # --------------------------------------------------------- batch ops
@@ -277,84 +293,85 @@ class LiveCacheClient:
     def _send_window(self, op: int, chunks: list, run: dict,
                      expires_at: float | None, flags: int) -> None:
         """Put the next chunks on the wire — one coalesced write — until
-        ``pipeline_depth`` are in flight (none after a refusal)."""
+        ``pipeline_depth`` are in flight (none after a refusal).  A
+        budget spent before a chunk goes out refuses the rest like a
+        ``DEADLINE`` reply would: the replies in flight are still read,
+        so the stream stays in step."""
         window = []
         pending = run["pending"]
         while (run["next"] < len(chunks) and run["error"] is None
                and len(pending) < self.pipeline_depth):
             items, body = chunks[run["next"]]
-            window.append(self._stamp_deadline(
-                Frame(op, flags, n=len(items), body=body), expires_at))
+            try:
+                window.append(self._stamp_deadline(
+                    Frame(op, flags, n=len(items), body=body), expires_at))
+            except DeadlineError as exc:
+                run["error"] = exc
+                break
             pending.append(run["next"])
             run["next"] += 1
         if window:
             send_frames(self._sock, window)
 
-    def _start_attempt(self, op: int, chunks: list, state: dict,
-                       expires_at: float | None, flags: int) -> dict:
-        """First half of one pipelined pass over the chunks not yet
-        acknowledged: (re)connect and send the first window.
+    def _start_pass(self, op: int, chunks: list, state: dict,
+                    expires_at: float | None, flags: int) -> dict:
+        """Open one pipelined pass over the chunks not yet acknowledged:
+        (re)connect and send the first window.
 
         ``state["done"]`` — the count of fully acknowledged leading
-        chunks — survives transport failures, so a retry resends only
+        chunks — survives a dropped connection, so a retry resends only
         the unacknowledged suffix.  Returns the pass's cursor for
-        :meth:`_finish_attempt`.
+        :meth:`_finish_pass`.
         """
         run = {"next": state["done"], "pending": [], "error": None}
-        try:
-            self._ensure_locked()
-            self._send_window(op, chunks, run, expires_at, flags)
-        except (ProtocolError, OSError):
-            self._drop_locked()
-            raise
+        self._ensure_locked()
+        self._send_window(op, chunks, run, expires_at, flags)
         return run
 
-    def _finish_attempt(self, op: int, chunks: list, state: dict, run: dict,
-                        expires_at: float | None, flags: int) -> None:
-        """Second half of a pipelined pass: drain replies in order
-        (they correlate positionally), refilling the window as replies
-        free it.  A typed refusal (overloaded / deadline / overflow) is
-        a complete reply on a healthy connection: the remaining
-        in-flight replies are drained first, then the error is raised
-        with the socket kept.
+    def _finish_pass(self, op: int, chunks: list, state: dict, run: dict,
+                     expires_at: float | None, flags: int) -> None:
+        """Drain a pass's replies in order (they correlate positionally),
+        refilling the window as replies free it.  A typed refusal stops
+        the sending; the replies already in flight are drained, then it
+        is raised.  Any other reply is out of step and raised at once.
         """
         pending = run["pending"]
-        try:
-            while state["done"] < len(chunks) and pending:
-                reply = self._reader.recv_frame()
-                idx = pending.pop(0)
-                ok = reply.code == (RECORDS if op == MULTI_GET else OK)
-                if op == MULTI_GET and ok:
-                    for key, value in self._recv_records(len(chunks[idx][0]),
-                                                         reply):
+        while pending:
+            reply = self._reader.recv_frame()
+            idx = pending.pop(0)
+            if reply.code == (RECORDS if op == MULTI_GET else OK):
+                if op == MULTI_GET:
+                    for key, value in self._recv_records(
+                            len(chunks[idx][0]), reply):
                         if value is not None:
                             state["found"][key] = value
-                elif op == MULTI_PUT and (ok or (
-                        run["error"] is None and reply.code in (OVERFLOW,
-                                                                DEADLINE))):
-                    # Every key applied (or skipped) is listed; after a
-                    # refusal that is exactly the acknowledged prefix.
-                    for key, freed in unpack_pairs(reply):
-                        if freed == NONE32:
-                            state["skipped"].append(key)
-                        else:
-                            state["stored"].append(key)
-                            if freed:
-                                state["freed"][key] = freed
-                if ok:
-                    if idx == state["done"]:
-                        state["done"] = idx + 1
-                elif run["error"] is None:
-                    run["error"] = error_from_reply(reply, "batch failed")
-                self._send_window(op, chunks, run, expires_at, flags)
-        except (ProtocolError, OSError):
-            # Transport death mid-pipeline: the cursor position is
-            # unknown — drop the socket; state["done"] marks the suffix
-            # a retry must resend.
-            self._drop_locked()
-            raise
+                else:
+                    self._note_applied(state, reply)
+                if idx == state["done"]:
+                    state["done"] = idx + 1
+            else:
+                error = error_from_reply(reply, "batch failed")
+                if not isinstance(error, REFUSALS):
+                    raise error
+                if op == MULTI_PUT and reply.code in (OVERFLOW, DEADLINE):
+                    # The chunk's keys applied before it stopped.
+                    self._note_applied(state, reply)
+                run["error"] = run["error"] or error
+            self._send_window(op, chunks, run, expires_at, flags)
         if run["error"] is not None:
             raise run["error"]
+
+    @staticmethod
+    def _note_applied(state: dict, reply: Frame) -> None:
+        """Record a multi_put reply's ``(key, freed)`` pairs: every key
+        it applied (``freed`` bytes) or skipped (``NONE32``)."""
+        for key, freed in unpack_pairs(reply):
+            if freed == NONE32:
+                state["skipped"].append(key)
+            else:
+                state["stored"].append(key)
+                if freed:
+                    state["freed"][key] = freed
 
     def _pipelined(self, op: int, chunks: list, state: dict,
                    deadline_ms: float | None, flags: int
@@ -362,16 +379,18 @@ class LiveCacheClient:
         """Phase one of a pipelined batch: take this connection's lock
         and send the first window.  Returns phase two, the *drain*: it
         reads the replies, retries the unacknowledged suffix under the
-        client's :class:`~repro.faults.retry.RetryPolicy`, and releases
-        the lock however it ends.  A transport error while sending is
-        held back for the drain, so the policy sees it as the first
-        attempt's failure.  The caller must call the drain exactly once.
+        client's one retry rule (:meth:`_retrying`), and releases the
+        lock however it ends.  A failure while sending is held back for
+        the drain, so the policy sees it as the first attempt's.  The
+        caller must call the drain exactly once.
         """
         expires_at = _expiry(deadline_ms)
+
+        def start() -> dict:
+            return self._start_pass(op, chunks, state, expires_at, flags)
         self._lock.acquire()
         try:
-            started = self._start_attempt(op, chunks, state, expires_at,
-                                          flags)
+            started = start()
         except (ProtocolError, OSError) as exc:
             started = exc
         except BaseException:
@@ -383,21 +402,12 @@ class LiveCacheClient:
             run, started = started, None
             if isinstance(run, BaseException):
                 raise run
-            if run is None:
-                run = self._start_attempt(op, chunks, state, expires_at,
-                                          flags)
-            self._finish_attempt(op, chunks, state, run, expires_at, flags)
+            self._finish_pass(op, chunks, state, run or start(),
+                              expires_at, flags)
 
         def drain() -> None:
             try:
-                call_with_retry(
-                    attempt,
-                    self.retry,
-                    retry_on=(ProtocolError, OSError),
-                    give_up_on=(OverloadedError, DeadlineError, ServerError),
-                    rng=self._rng,
-                    on_retry=self._note_retry,
-                )
+                self._retrying(attempt)
             finally:
                 self._lock.release()
         return drain
@@ -490,50 +500,12 @@ class LiveCacheClient:
 
     # --------------------------------------------------------- range ops
 
-    def _ranged_attempt(self, frame: Frame) -> tuple[Frame,
-                                                     list[tuple[int, bytes]]]:
-        """One shot of a streaming range op on the current connection."""
-        sock = self._ensure_locked()
-        try:
-            send_frame(sock, frame)
-            reply = self._reader.recv_frame()
-            records = []
-            if reply.code == OK:
-                records = self._recv_records(reply.n)
-        except (ProtocolError, OSError):
-            # The stream died mid-frame: the cursor position is unknown,
-            # so drop the socket and let the next call reconnect.
-            self._drop_locked()
-            raise
-        if reply.code != OK:
-            # A refusal (overloaded, deadline, bad range) is a complete
-            # reply — the connection is healthy, keep it.
-            raise error_from_reply(reply, "range op failed")
-        return reply, records
-
-    def _ranged_retrying(self, frame: Frame) -> tuple[Frame,
-                                                      list[tuple[int, bytes]]]:
-        """A *retryable* range stream (safe because sweep and
-        extract_prepare are non-destructive — a replay re-reads, the
-        server's records are untouched).  Shed/deadline refusals surface
-        immediately: the server answered, retrying blindly would just
-        add load."""
-        with self._lock:
-            return call_with_retry(
-                lambda: self._ranged_attempt(frame),
-                self.retry,
-                retry_on=(ProtocolError, OSError),
-                give_up_on=(OverloadedError, DeadlineError),
-                rng=self._rng,
-                on_retry=self._note_retry,
-            )
-
     def sweep(self, lo: int, hi: int,
               replica: bool = False) -> list[tuple[int, bytes]]:
         """Read all records in ``[lo, hi]`` (non-destructive, retryable)."""
-        _, records = self._ranged_retrying(Frame(
-            SWEEP, self._flags(replica=replica), lo,
-            body=RANGE.pack(hi, 0)))
+        _, records = self._call(Frame(SWEEP, self._flags(replica=replica),
+                                      lo, body=RANGE.pack(hi, 0)),
+                                default="sweep failed")
         return records
 
     # ------------------------------------------------- two-phase extract
@@ -552,9 +524,9 @@ class LiveCacheClient:
         anti-entropy sweeps use this.
         """
         lease_ms = 0 if lease_s is None else max(1, round(lease_s * 1000))
-        reply, records = self._ranged_retrying(Frame(
+        reply, records = self._call(Frame(
             EXTRACT_PREPARE, self._flags(replica=replica), lo,
-            body=RANGE.pack(hi, lease_ms)))
+            body=RANGE.pack(hi, lease_ms)), default="extract_prepare failed")
         return reply.body.decode(), records
 
     def extract_commit(self, token: str, replica: bool = False) -> int:
@@ -566,15 +538,18 @@ class LiveCacheClient:
         ``replica`` must match the prepare: each namespace has its own
         transfer ledger.
         """
-        return self._call(Frame(EXTRACT_COMMIT, self._flags(replica=replica),
-                                body=token.encode()),
-                          default="extract_commit failed").n
+        reply, _ = self._call(Frame(EXTRACT_COMMIT,
+                                    self._flags(replica=replica),
+                                    body=token.encode()),
+                              default="extract_commit failed")
+        return reply.n
 
     def extract_abort(self, token: str, replica: bool = False) -> bool:
         """Release a prepared snapshot without deleting; idempotent."""
-        reply = self._call(Frame(EXTRACT_ABORT, self._flags(replica=replica),
-                                 body=token.encode()),
-                           default="extract_abort failed")
+        reply, _ = self._call(Frame(EXTRACT_ABORT,
+                                    self._flags(replica=replica),
+                                    body=token.encode()),
+                              default="extract_abort failed")
         return bool(reply.flags & FOUND)
 
     def extract(self, lo: int, hi: int,
@@ -595,8 +570,8 @@ class LiveCacheClient:
         report; a batch shed at admission or dropped at its deadline is
         not counted at all.
         """
-        return json.loads(self._call(Frame(STATS), default="stats failed")
-                          .body)
+        reply, _ = self._call(Frame(STATS), default="stats failed")
+        return json.loads(reply.body)
 
 
 class _TopologyLock:
@@ -788,9 +763,11 @@ class LiveClusterClient:
         With replication enabled the write is primary-then-buddy under
         the key's replica lock (see
         :meth:`~repro.live.replica.ReplicaManager.replicate`); a failed
-        replica leg raises a plain :class:`ProtocolError` *after* the
-        primary applied — callers treating that as "may have applied"
-        (as the consistency harness does) stay sound.
+        replica leg raises a
+        :class:`~repro.live.replica.ReplicaWriteError` *after* the
+        primary applied.  It is not a typed refusal, so callers treating
+        it as "may have applied" (as the consistency harness does) stay
+        sound.
         """
         with self._topo.shared():
             if self.replica is None:

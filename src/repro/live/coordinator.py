@@ -59,18 +59,11 @@ from repro.core.sliding_window import SlidingWindowEvictor
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.detector import FailureDetector
 from repro.live.client import LiveClusterClient
-from repro.live.protocol import (OK, PING, DeadlineError, Frame,
-                                 OverloadedError, ProtocolError, ServerError,
+from repro.live.protocol import (OK, PING, CapacityError, DeadlineError,
+                                 Frame, OverloadedError, ProtocolError,
                                  recv_frame, send_frame)
 from repro.live.replica import ReplicaWriteError
 from repro.live.server import LiveCacheServer
-
-
-def _is_overflow(exc: Exception) -> bool:
-    """The primary's typed ``OVERFLOW`` refusal: the one fill failure
-    growth can cure.  A full buddy replica namespace surfaces as a
-    :class:`~repro.live.replica.ReplicaWriteError` and is not one."""
-    return isinstance(exc, ServerError) and str(exc) == "overflow"
 
 
 @dataclass
@@ -280,7 +273,7 @@ class LiveCoordinator:
         except ReplicaWriteError:
             self.stats.unreplicated_writes += 1
         except self.FAILURES as exc:
-            if self.spawn_server is None and _is_overflow(exc):
+            if self.spawn_server is None and isinstance(exc, CapacityError):
                 raise
             if background:
                 return self._drop_background()
@@ -376,8 +369,8 @@ class LiveCoordinator:
             try:
                 self.cluster.put(key, value, deadline_ms=deadline_ms)
                 return
-            except ServerError as exc:
-                if not _is_overflow(exc) or self.spawn_server is None:
+            except CapacityError:
+                if self.spawn_server is None:
                     raise
             # Midpoint splits halve the interval, not necessarily the
             # bytes, so a skewed interval may need more than one growth.

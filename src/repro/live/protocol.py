@@ -145,19 +145,33 @@ class DeadlineError(ProtocolError):
 
 
 class ServerError(ProtocolError):
-    """A deterministic refusal (e.g. ``overflow``, unknown op) on a
+    """A deterministic refusal (e.g. a bad range, unknown op) on a
     healthy connection: unlike a bare :class:`ProtocolError` (broken
     frame, dead transport), resending cannot succeed."""
 
 
+class CapacityError(ServerError):
+    """The ``OVERFLOW`` refusal: the write does not fit the namespace's
+    free bytes.  The one refusal that growing the cluster cures."""
+
+
+#: The typed refusals: complete answers on a healthy connection, raised
+#: at once and never resent (the caller recomputes a derived result).
+#: Any other failure leaves the stream out of step: the client drops the
+#: connection and retries.
+REFUSALS = (OverloadedError, DeadlineError, ServerError)
+
+
 def error_from_reply(reply: Frame, default: str) -> ProtocolError:
-    """Map a refusal reply onto the matching typed error."""
+    """Map a refusal reply onto the matching typed error; any other
+    reply maps to a bare :class:`ProtocolError` (the stream is out of
+    step)."""
     if reply.code == OVERLOADED:
         return OverloadedError("overloaded", reply.ms)
     if reply.code == DEADLINE:
         return DeadlineError("deadline_exceeded")
     if reply.code == OVERFLOW:
-        return ServerError("overflow")
+        return CapacityError("overflow")
     if reply.code == ERROR:
         return ServerError(reply.body.decode("utf-8", "replace") or default)
     return ProtocolError(f"{default}: unexpected reply {describe(reply)}")

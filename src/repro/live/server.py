@@ -50,6 +50,7 @@ node's own primaries to overflow.
 from __future__ import annotations
 
 import json
+import socket
 import socketserver
 import threading
 import time
@@ -634,7 +635,15 @@ class LiveCacheServer:
 
     def stop(self) -> None:
         """Shut down, sever live sessions, and join the serving thread."""
-        self._server.shutdown()
+        if self._thread is not None:
+            # A shut-down listener wakes ``serve_forever``'s select at
+            # once (the failed accept is skipped), not at its 0.5 s
+            # poll.  Without a serving thread shutdown() never returns.
+            try:
+                self._server.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # no wake-up on this platform: the poll ends it
+            self._server.shutdown()
         for conn in list(self._server.connections):
             try:
                 conn.shutdown(2)  # SHUT_RDWR: unblocks handler recv()

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.faults.retry import RetryPolicy
 from repro.live.client import LiveCacheClient, LiveClusterClient
-from repro.live.protocol import MAX_BATCH, DeadlineError, OverloadedError
+from repro.live.protocol import (MAX_BATCH, CapacityError, DeadlineError,
+                                 OverloadedError)
 from repro.live.server import LiveCacheServer
 from tests.conftest import check_stores
 
@@ -97,6 +98,21 @@ class TestMultiOpsSingleServer:
                 assert result.acked == 3
                 got = c.multi_get(result.stored)
                 assert len(got) == len(result.stored)
+        finally:
+            server.stop()
+
+    def test_multi_put_lists_keys_applied_after_a_refusal(self):
+        """A chunk already in flight when an earlier one overflowed may
+        still apply some keys before it overflows too: ``stored`` lists
+        them as well."""
+        server = LiveCacheServer(capacity_bytes=300).start()
+        try:
+            with LiveCacheClient(server.address, max_batch=2) as c:
+                result = c.multi_put([(1, b"a" * 400), (5, b"b"),
+                                      (2, b"c" * 10), (3, b"d" * 400)])
+                assert isinstance(result.error, CapacityError)
+                assert result.stored == [2]
+                assert c.multi_get([1, 2, 3, 5]) == {2: b"c" * 10}
         finally:
             server.stop()
 

@@ -3,17 +3,24 @@
 Covers the pieces the chaos suite exercises end-to-end: retry policy
 mechanics, failure detection, fault plans, the fault proxy, and the
 client-level retry rules — including the regression tests for "``put``
-retries transparently" and "sweep/extract never retry".
+retries transparently", "range streams retry a lost connection" and
+"a typed refusal is never resent".
 """
 
 import random
+import socket
+import threading
+import time
 
 import pytest
 
 from repro.faults import (FailureDetector, FaultEvent, FaultPlan, FaultProxy,
                           RetryPolicy, call_with_retry)
 from repro.live.client import LiveCacheClient, LiveClusterClient
-from repro.live.protocol import ProtocolError
+from repro.live.protocol import (DEADLINE, ERROR, OVERLOADED, PING, REFUSALS,
+                                 DeadlineError, Frame, FrameReader,
+                                 OverloadedError, ProtocolError, ServerError,
+                                 send_frame)
 from repro.live.server import LiveCacheServer
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
@@ -199,8 +206,85 @@ class TestFaultProxy:
         with pytest.raises(ValueError):
             proxy.set_faults(delay_s=-1.0)
 
+    def test_stop_with_open_session_is_prompt_and_leaves_no_thread(self):
+        """``stop()`` wakes the accept thread and both relays of an open
+        session (``close()`` alone wakes neither on Linux) and joins
+        them."""
+        server = LiveCacheServer(capacity_bytes=1 << 20).start()
+        proxy = FaultProxy(server.address).start()
+        name = f"fault-proxy-{proxy.address[1]}"
+
+        def proxy_threads() -> list[str]:
+            return [t.name for t in threading.enumerate()
+                    if t.name in (name, f"{name}-relay")]
+        client = LiveCacheClient(proxy.address, retry=FAST)
+        try:
+            client.put(1, b"x")  # one relayed session, left open
+            assert len(proxy_threads()) == 3
+            t0 = time.perf_counter()
+            proxy.stop()
+            assert time.perf_counter() - t0 < 0.5
+            assert proxy_threads() == []
+        finally:
+            client.close()
+            proxy.stop()
+            server.stop()
+
 
 # ------------------------------------------------ client retry regressions
+
+
+class _ScriptedServer:
+    """Answers every request frame with one fixed ``reply`` and counts
+    the requests, one connection at a time."""
+
+    def __init__(self, reply: Frame) -> None:
+        self.reply = reply
+        self.requests = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def __enter__(self) -> "_ScriptedServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with conn:
+                reader = FrameReader(conn)
+                try:
+                    while True:
+                        reader.recv_frame()
+                        self.requests += 1
+                        send_frame(conn, self.reply)
+                except (ProtocolError, OSError):
+                    pass  # the client hung up
+
+
+def _raise_put_error(client: LiveCacheClient) -> None:
+    error = client.multi_put([(1, b"x"), (2, b"y")]).error
+    if error is not None:
+        raise error
+
+
+#: one op of each kind, as the refusal-rule tests drive them.
+_OPS = {
+    "point": lambda c: c.get(1),
+    "range-sweep": lambda c: c.sweep(0, 100),
+    "range-prepare": lambda c: c.extract_prepare(0, 100),
+    "batch-get": lambda c: c.multi_get([1, 2, 3]),
+    "batch-put": _raise_put_error,
+}
 
 
 class TestClientRetryRules:
@@ -259,6 +343,40 @@ class TestClientRetryRules:
             client.get(1)
         assert client.retries == FAST.max_attempts - 1
         client.close()
+
+    @pytest.mark.parametrize("reply,error", [
+        (Frame(ERROR, body=b"refused"), ServerError),
+        (Frame(OVERLOADED, ms=5), OverloadedError),
+        (Frame(DEADLINE), DeadlineError),
+    ], ids=["error", "overloaded", "deadline"])
+    @pytest.mark.parametrize("op", _OPS, ids=list(_OPS))
+    def test_refusal_is_sent_once_and_keeps_the_connection(self, op, reply,
+                                                           error):
+        """One refusal rule for every op kind: a typed refusal is a
+        complete answer, raised after one request, on the same socket."""
+        with _ScriptedServer(reply) as server:
+            client = LiveCacheClient(server.address, retry=FAST)
+            sock = client._sock
+            with pytest.raises(error):
+                _OPS[op](client)
+            assert server.requests == 1
+            assert client.retries == 0
+            assert client._sock is sock and client.reconnects == 0
+            client.close()
+
+    @pytest.mark.parametrize("op", _OPS, ids=list(_OPS))
+    def test_out_of_step_reply_drops_the_connection(self, op):
+        """A reply that is neither ``OK`` nor a typed refusal leaves the
+        stream out of step: the connection is dropped and the request
+        resent on a fresh one, up to the policy's attempts."""
+        with _ScriptedServer(Frame(PING)) as server:
+            client = LiveCacheClient(server.address, retry=FAST)
+            with pytest.raises(ProtocolError) as info:
+                _OPS[op](client)
+            assert not isinstance(info.value, REFUSALS)
+            assert server.requests == FAST.max_attempts
+            assert client.retries == client.reconnects == FAST.max_attempts - 1
+            client.close()
 
 
 # ------------------------------------------------- cluster failover units

@@ -1,6 +1,7 @@
 """Tests for the live TCP cache cluster (real sockets on localhost)."""
 
 import threading
+import time
 
 import pytest
 
@@ -26,6 +27,21 @@ def client(server):
 class TestSingleServer:
     def test_ping(self, client):
         assert client.ping()
+
+    def test_stop_with_open_session_is_prompt(self):
+        """``stop()`` returns without waiting out a long accept poll,
+        severs the open session, and joins the serving thread."""
+        srv = LiveCacheServer(capacity_bytes=1 << 20).start()
+        with LiveCacheClient(srv.address) as c:
+            c.put(1, b"x")
+            t0 = time.perf_counter()
+            srv.stop()
+            assert time.perf_counter() - t0 < 0.2
+        assert not any(t.name == f"cache-server-{srv.address[1]}"
+                       for t in threading.enumerate())
+
+    def test_stop_without_start_returns(self):
+        LiveCacheServer(capacity_bytes=1 << 20).stop()
 
     def test_put_get_roundtrip(self, client):
         client.put(42, b"hello shoreline")

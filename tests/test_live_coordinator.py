@@ -6,7 +6,7 @@ from repro.core.config import EvictionConfig
 from repro.live.client import LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
 from repro.live.protocol import (DeadlineError, OverloadedError,
-                                 ProtocolError)
+                                 ProtocolError, ServerError)
 from repro.live.replica import ReplicaWriteError
 from repro.live.server import LiveCacheServer
 
@@ -115,6 +115,9 @@ class TestFillFailures:
         ProtocolError("put failed: connection reset"),
         ReplicaWriteError("replica write failed: overflow"),
         OSError("broken pipe"),
+        # An ERROR reply whose text reads "overflow" is not the typed
+        # OVERFLOW refusal: it must not boot a server.
+        ServerError("overflow"),
     ])
     def test_failed_fill_returns_value_and_counts(self, small_cluster,
                                                   monkeypatch, error):

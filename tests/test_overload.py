@@ -18,10 +18,10 @@ from repro.faults.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.live.client import LiveCacheClient, LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
 from repro.live.migration import TransferLedger, finish_move, prepare_move
-from repro.live.protocol import (DEADLINE, ERROR, GET, HEADER_BYTES, OVERLOADED,
-                                 DeadlineError, Frame, OverloadedError,
-                                 ProtocolError, ServerError, encode,
-                                 error_from_reply)
+from repro.live.protocol import (DEADLINE, ERROR, GET, HEADER_BYTES, OVERFLOW,
+                                 OVERLOADED, CapacityError, DeadlineError,
+                                 Frame, OverloadedError, ProtocolError,
+                                 ServerError, encode, error_from_reply)
 from repro.live.server import AdmissionGate, LiveCacheServer
 from tests.conftest import FakeDest, FakeSource
 
@@ -311,6 +311,16 @@ class TestErrorMapping:
                                "op failed")
         assert type(exc) is ServerError
         assert isinstance(exc, ProtocolError)
+
+    def test_overflow_reply_maps_to_capacity_error(self):
+        """Overflow is a type, not a text: only the ``OVERFLOW`` code
+        maps to :class:`CapacityError`, still a ``ServerError`` (so the
+        consistency checker classifies it as refused)."""
+        exc = error_from_reply(Frame(OVERFLOW, key=12), "op failed")
+        assert type(exc) is CapacityError
+        assert isinstance(exc, ServerError)
+        assert not isinstance(error_from_reply(
+            Frame(ERROR, body=b"overflow"), "op failed"), CapacityError)
 
 
 # ============================================== wire-level: two-phase ops
