@@ -45,11 +45,16 @@ batch:
 		tests/test_batch.py tests/test_protocol_fuzz.py \
 		benchmarks/bench_batch.py
 
-# Replication suite: buddy-placement parity, hinted-handoff drain and
+# Replication suite: the simulator's replication tests and node-loss
+# bench (failover hands each bucket to its buddy there too), then
+# buddy-placement and failover parity, hinted-handoff drain and
 # rebuild tests, the availability-vs-overhead bench, then a seeded
 # replica-kill nemesis run checked under the STRICT model (real process
 # death, zero lost acked writes — the buddy must cover the dead range).
 replicate:
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),) \
+	$(PYTHON) -m pytest -q -k "Replication or availability" \
+		tests/test_extensions.py benchmarks/bench_ext_availability.py
 	REPRO_FAULT_SEED=20100607 PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),) \
 	$(PYTHON) -m pytest -m "slow or not slow" -q -k replica \
 		tests/test_replication_live.py tests/test_check_runner.py \

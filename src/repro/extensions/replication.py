@@ -4,16 +4,20 @@ Sec. V notes that DHTs tolerate churn but "most DHT-based implementations
 do not focus on offering transient data availability when a node
 disconnects, which is crucial to our application scenario"; Sec. VI lists
 "data replication" among the mitigations.  This extension keeps one
-replica of every cached record on a *buddy* node (the successor on the
-ring's node list), and can rebuild a failed node's records from those
-replicas — turning a node loss from a cold-cache event into a brief
-re-insert burst.
+replica of every cached record on a *buddy* node, and can rebuild a
+failed node's records from those replicas — turning a node loss from a
+cold-cache event into a brief re-insert burst.
 
 Placement follows the *ring successor* rule — a record's buddy is the
 owner of the first bucket circularly after the record's own bucket that
-belongs to a different node — which is exactly the rule the live
-cluster's :class:`repro.live.replica.ReplicaManager` uses, so sim and
-live agree on where every replica lands (asserted by the parity test in
+belongs to a different node
+(:meth:`repro.core.ring.ConsistentHashRing.successor_owner`).  Failover
+calls the same function: :meth:`ReplicationManager.fail_node` hands each
+of the dead node's buckets to its successor owner, so a failed range
+lands on the node holding its replicas.  The live cluster's
+:class:`repro.live.replica.ReplicaManager` and ``fail_server`` use that
+one function too, so sim and live agree on where every replica lands
+and where every failed bucket goes (asserted by the parity tests in
 ``tests/test_replication_live.py``).
 
 Replicas live outside the primary capacity accounting (a real deployment
@@ -56,19 +60,6 @@ class ReplicationManager:
         the whole ring.  Matches the live cluster's placement rule."""
         ring = self.cache.ring
         return ring.successor_owner(ring.bucket_for_hkey(hkey))
-
-    def buddy_of(self, node: CacheNode) -> CacheNode | None:
-        """The replica target for ``node``'s first bucket's range.
-
-        Kept for API compatibility; placement is really per-*record*
-        (:meth:`buddy_for_hkey`) — a node owning several buckets can
-        have a different buddy per range.
-        """
-        ring = self.cache.ring
-        buckets = ring.buckets_of(node)
-        if not buckets:
-            return None
-        return ring.successor_owner(buckets[0])
 
     def on_insert(self, record: CacheRecord) -> None:
         """Replicate one freshly cached record to its buddy."""
@@ -113,17 +104,20 @@ class ReplicationManager:
 
     def fail_node(self, node: CacheNode) -> int:
         """Simulate losing ``node``: drop its primaries (and its replica
-        store) without migration.  Returns records lost from primaries."""
+        store) without migration, and hand each of its buckets to the
+        bucket's ring successor owner — its buddy.  Returns records lost
+        from primaries."""
+        ring = self.cache.ring
+        heirs = [(pos, ring.successor_owner(pos))
+                 for pos in ring.buckets_of(node)]
+        if (len(self.cache.nodes) < 2
+                or any(heir is None for _, heir in heirs)):
+            raise RuntimeError("cannot fail the only node")
         lost = len(node)
         for hkey, _ in node.items():
             node.pop(hkey)
-        # Bucket ownership folds into a surviving node.
-        survivors = [n for n in self.cache.nodes if n is not node]
-        if not survivors:
-            raise RuntimeError("cannot fail the only node")
-        heir = survivors[0]
-        for pos in self.cache.ring.buckets_of(node):
-            self.cache.ring.reassign_bucket(pos, heir)
+        for pos, heir in heirs:
+            ring.reassign_bucket(pos, heir)
         self.cache.nodes.remove(node)
         self.cache.cloud.terminate(node.cloud_node)
         self.replicas.pop(node.node_id, None)

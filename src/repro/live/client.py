@@ -57,6 +57,13 @@ def _expiry(deadline_ms: float | None) -> float | None:
     return time.monotonic() + deadline_ms / 1000.0
 
 
+def _remaining_ms(expires_at: float | None) -> float | None:
+    """What is left of a budget that runs out at ``expires_at``, in ms."""
+    if expires_at is None:
+        return None
+    return (expires_at - time.monotonic()) * 1000.0
+
+
 @dataclass
 class MultiPutResult:
     """Outcome of a batched put.
@@ -169,7 +176,7 @@ class LiveCacheClient:
         """Attach the *remaining* budget so each retry ships less."""
         if expires_at is None:
             return frame
-        remaining_ms = int((expires_at - time.monotonic()) * 1000)
+        remaining_ms = int(_remaining_ms(expires_at))
         if remaining_ms <= 0:
             raise DeadlineError("deadline_exceeded")
         return frame._replace(ms=min(remaining_ms, NONE32))
@@ -774,7 +781,7 @@ class LiveClusterClient:
                 self.client_for(key).put(key, value, deadline_ms=deadline_ms,
                                          priority=priority)
                 return
-            with self.replica.key_lock(key):
+            with self.replica.key_locks((key,)):
                 self.client_for(key).put(key, value, deadline_ms=deadline_ms,
                                          priority=priority)
                 self.replica.replicate(key, value, deadline_ms=deadline_ms,
@@ -794,17 +801,11 @@ class LiveClusterClient:
                     src_found = False
                 found = found or src_found
             if self.replica is not None:
-                with self.replica.key_lock(key):
+                with self.replica.key_locks((key,)):
                     self.replica.forget(key)
             return found
 
     # ---------------------------------------------------- batched fan-out
-
-    @staticmethod
-    def _remaining_ms(expires_at: float | None) -> float | None:
-        if expires_at is None:
-            return None
-        return (expires_at - time.monotonic()) * 1000.0
 
     def _note_shard_failure(self) -> None:
         with self._failures_lock:
@@ -865,7 +866,7 @@ class LiveClusterClient:
 
         def branch(client, keys):
             drain = client.send_multi_get(
-                keys, self._remaining_ms(expires_at), priority, replica)
+                keys, _remaining_ms(expires_at), priority, replica)
 
             def collect() -> dict[int, bytes]:
                 try:
@@ -891,7 +892,7 @@ class LiveClusterClient:
         expires_at = _expiry(deadline_ms)
         return self._fan_out([
             lambda c=c, g=g: c.send_multi_put(
-                g, self._remaining_ms(expires_at), priority, replica=replica)
+                g, _remaining_ms(expires_at), priority, replica=replica)
             for c, g in self._lock_order(groups)])
 
     def get_many(self, keys, deadline_ms: float | None = None,
@@ -911,13 +912,13 @@ class LiveClusterClient:
         expires_at = _expiry(deadline_ms)
         with self._topo.shared():
             found = self._fetch_many(self._group_by_owner(keys),
-                                     self._remaining_ms(expires_at), priority)
+                                     _remaining_ms(expires_at), priority)
             if self._forwards:
                 self._fetch_forwarded(keys, found, expires_at, priority)
             if self.replica is not None:
                 self.replica.fill_from_replicas(
                     keys, found,
-                    deadline_ms=self._remaining_ms(expires_at),
+                    deadline_ms=_remaining_ms(expires_at),
                     priority=priority)
             return found
 
@@ -938,12 +939,12 @@ class LiveClusterClient:
             src = self._forwards.lookup(self.ring.hash_key(key))
             if src is not None:
                 by_src.setdefault(src, []).append(key)
-        found.update(self._fetch_many(by_src, self._remaining_ms(expires_at),
+        found.update(self._fetch_many(by_src, _remaining_ms(expires_at),
                                       priority))
         recheck = [k for group in by_src.values() for k in group
                    if k not in found]
         found.update(self._fetch_many(self._group_by_owner(recheck),
-                                      self._remaining_ms(expires_at),
+                                      _remaining_ms(expires_at),
                                       priority))
 
     def put_many(self, items, deadline_ms: float | None = None,
@@ -976,7 +977,7 @@ class LiveClusterClient:
                 stored = self._put_primaries(items, expires_at, priority)
                 replicated = self.replica.replicate_many(
                     [(k, values[k]) for k in stored],
-                    deadline_ms=self._remaining_ms(expires_at),
+                    deadline_ms=_remaining_ms(expires_at),
                     priority=priority)
             return len(set(stored) & set(replicated))
 
@@ -985,7 +986,7 @@ class LiveClusterClient:
         Returns the stored keys (each failed shard counted)."""
         stored: list[int] = []
         for result in self._put_groups(
-                self._group_by_owner(items), self._remaining_ms(expires_at),
+                self._group_by_owner(items), _remaining_ms(expires_at),
                 priority):
             stored += result.stored
             if result.error is not None:
@@ -1128,27 +1129,17 @@ class LiveClusterClient:
                 return known
         raise ValueError(f"server {address} not in the cluster")
 
-    def _successor_owner(self, bucket: int,
-                         exclude: tuple[str, int]) -> tuple[str, int]:
-        """The first bucket owner circularly after ``bucket`` that is not
-        ``exclude`` — where a dead bucket's interval fails over to."""
-        idx = self.ring.buckets.index(bucket)
-        order = self.ring.buckets[idx + 1:] + self.ring.buckets[:idx]
-        for pos in order:
-            owner = self.ring.node_map[pos]
-            if owner != exclude:
-                return owner  # type: ignore[return-value]
-        raise ValueError("no live server left to absorb the dead buckets")
-
     def fail_server(self, address: tuple[str, int],
                     forward: bool = False) -> list[int]:
         """Ring repair after a node *death* (no data to migrate).
 
         The failure-time analogue of Algorithm 2's migration: each of the
-        dead server's buckets is re-assigned to its ring successor's
-        owner, and — because the records died with the process — nothing
-        is copied.  Misses on the reassigned intervals then recompute and
-        repopulate on the survivors.  Returns the repaired bucket positions, which
+        dead server's buckets is re-assigned to its ring successor owner
+        (:meth:`~repro.core.ring.ConsistentHashRing.successor_owner` —
+        the buddy replication mirrors the bucket on), and — because the
+        records died with the process — nothing is copied.  Misses on
+        the reassigned intervals then recompute and repopulate on the
+        survivors.  Returns the repaired bucket positions, which
         :meth:`restore_server` can later hand back.
 
         ``forward=True`` covers the *partition* flavour of failure: the
@@ -1176,8 +1167,11 @@ class LiveClusterClient:
         with self._topo.exclusive():
             address = self._canonical(address)
             owned = list(self.ring.buckets_of(address))
-            reassignments = [(b, self._successor_owner(b, address))
+            reassignments = [(b, self.ring.successor_owner(b))
                              for b in owned]
+            if any(heir is None for _, heir in reassignments):
+                raise ValueError(
+                    "no live server left to absorb the dead buckets")
             seg_map = {b: self.ring.interval_segments(b) for b in owned}
             segments = [seg for segs in seg_map.values() for seg in segs]
             if self.replica is not None:

@@ -58,7 +58,7 @@ from repro.core.config import EvictionConfig
 from repro.core.sliding_window import SlidingWindowEvictor
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.detector import FailureDetector
-from repro.live.client import LiveClusterClient
+from repro.live.client import LiveClusterClient, _expiry, _remaining_ms
 from repro.live.protocol import (OK, PING, CapacityError, DeadlineError,
                                  Frame, OverloadedError, ProtocolError,
                                  recv_frame, send_frame)
@@ -130,10 +130,9 @@ class LiveCoordinator:
         :meth:`end_slice`.
     detector:
         Failure detector; defaults to a 2-consecutive-error threshold.
-    breaker:
-        Per-server circuit breaker.  ``None`` (default) creates one
-        sharing ``detector`` with a 1 s reset timeout; pass an explicit
-        :class:`~repro.faults.breaker.CircuitBreaker` to tune it.
+        The per-server circuit breaker (:attr:`breaker`, 1 s reset
+        timeout) is built on it, so breaker and failover decisions see
+        the same evidence once.
     deadline_ms:
         Default per-query time budget, propagated to every wire op this
         query performs (each op gets the *remaining* budget).  ``None``
@@ -163,7 +162,6 @@ class LiveCoordinator:
         spawn_server: Callable[[], LiveCacheServer] | None = None,
         eviction: EvictionConfig | None = None,
         detector: FailureDetector | None = None,
-        breaker: CircuitBreaker | None = None,
         deadline_ms: float | None = None,
         health_every: int = 0,
         on_event: Callable[[str, str], None] | None = None,
@@ -174,8 +172,7 @@ class LiveCoordinator:
         self.evictor = (SlidingWindowEvictor(eviction)
                         if eviction is not None and eviction.enabled else None)
         self.detector = detector if detector is not None else FailureDetector()
-        self.breaker = (breaker if breaker is not None
-                        else CircuitBreaker(detector=self.detector))
+        self.breaker = CircuitBreaker(detector=self.detector)
         self.deadline_ms = deadline_ms
         self.health_every = health_every
         self.on_event = on_event
@@ -220,8 +217,7 @@ class LiveCoordinator:
                 and self.stats.queries % self.health_every == 0):
             self.health_check()
         self.stats.queries += 1
-        expires_at = (time.monotonic() + self.deadline_ms / 1000.0
-                      if self.deadline_ms is not None else None)
+        expires_at = _expiry(self.deadline_ms)
         background = priority == "background"
         if self.evictor is not None:
             self.evictor.record(key)
@@ -233,10 +229,10 @@ class LiveCoordinator:
             self._emit("breaker_fastfail", f"{addr[0]}:{addr[1]}")
             if background:
                 return self._drop_background()
-            return self._query_degraded(key, addr, expires_at, charge=False)
+            return self._query_degraded(key, addr, expires_at)
         try:
             cached = self.cluster.get(
-                key, deadline_ms=self._remaining_ms(expires_at),
+                key, deadline_ms=_remaining_ms(expires_at),
                 priority="background" if background else None)
         except OverloadedError:
             # Back-pressure from a *live* server: nothing is charged to
@@ -254,11 +250,11 @@ class LiveCoordinator:
                 return self._drop_background()
             return self._recompute(key, expires_at)
         except self.FAILURES:
-            self._charge_failure(addr)
+            self.breaker.record_failure(addr)
             if background:
                 return self._drop_background()
-            return self._query_degraded(key, addr, expires_at, charge=False)
-        self._charge_success(addr)
+            return self._query_degraded(key, addr, expires_at)
+        self.breaker.record_success(addr)
         if cached is not None:
             self.stats.hits += 1
             return cached
@@ -269,7 +265,7 @@ class LiveCoordinator:
         # other failed fill costs a future miss, never the answer.
         try:
             self._put_with_growth(key, value,
-                                  deadline_ms=self._remaining_ms(expires_at))
+                                  deadline_ms=_remaining_ms(expires_at))
         except ReplicaWriteError:
             self.stats.unreplicated_writes += 1
         except self.FAILURES as exc:
@@ -289,25 +285,6 @@ class LiveCoordinator:
 
     # ----------------------------------------------------- fallback paths
 
-    @staticmethod
-    def _remaining_ms(expires_at: float | None) -> float | None:
-        """Remaining per-query budget to forward on the wire."""
-        if expires_at is None:
-            return None
-        return (expires_at - time.monotonic()) * 1000.0
-
-    def _charge_failure(self, addr: tuple[str, int]) -> None:
-        """Feed one failure observation to breaker *and* detector
-        (once each — by default they share the same detector)."""
-        self.breaker.record_failure(addr)
-        if self.breaker.detector is not self.detector:
-            self.detector.record_failure(addr)
-
-    def _charge_success(self, addr: tuple[str, int]) -> None:
-        self.breaker.record_success(addr)
-        if self.breaker.detector is not self.detector:
-            self.detector.record_success(addr)
-
     def _drop_background(self) -> None:
         """Shed a background request outright (no recompute)."""
         self.stats.shed_background += 1
@@ -319,7 +296,7 @@ class LiveCoordinator:
         write costs a future miss, never correctness."""
         try:
             self._put_with_growth(key, value,
-                                  deadline_ms=self._remaining_ms(expires_at))
+                                  deadline_ms=_remaining_ms(expires_at))
         except ReplicaWriteError:
             self.stats.unreplicated_writes += 1
         except self.FAILURES:
@@ -334,19 +311,17 @@ class LiveCoordinator:
         return value
 
     def _query_degraded(self, key: int, addr: tuple[str, int],
-                        expires_at: float | None = None,
-                        charge: bool = True) -> bytes:
-        """The slow-but-correct path: shard unreachable.  With
-        replication on, the buddy's copy is consulted (and read-repaired
-        toward the owner) before paying for a recompute — the paper's
-        "transient data availability" case; without one, recompute."""
+                        expires_at: float | None) -> bytes:
+        """The slow-but-correct path: shard unreachable (the caller has
+        already charged the evidence, if any).  With replication on, the
+        buddy's copy is consulted (and read-repaired toward the owner)
+        before paying for a recompute — the paper's "transient data
+        availability" case; without one, recompute."""
         self.stats.degraded_queries += 1
-        if charge:
-            self._charge_failure(addr)
         if self.detector.is_down(addr):
             self._fail_over(addr)
         value = self.cluster.replica_read(
-            key, deadline_ms=self._remaining_ms(expires_at))
+            key, deadline_ms=_remaining_ms(expires_at))
         if value is not None:
             self.stats.hits += 1
             self.stats.replica_hits += 1
@@ -418,11 +393,11 @@ class LiveCoordinator:
             try:
                 client.ping()
             except self.FAILURES:
-                self._charge_failure(addr)
+                self.breaker.record_failure(addr)
                 if self.detector.is_down(addr) and self._fail_over(addr):
                     condemned.append(addr)
             else:
-                self._charge_success(addr)
+                self.breaker.record_success(addr)
         self.check_recovery()
         return condemned
 

@@ -12,12 +12,14 @@ Placement rule
 Every bucket's records are mirrored on the bucket's **ring successor
 owner** — the owner of the first bucket circularly after it that
 references a different node (:meth:`repro.core.ring.ConsistentHashRing.
-successor_owner`).  This is exactly the node a failover reassigns the
-bucket to, so when a primary dies the interim owner *already holds* the
-range's replica: reads fail over to warm copies instead of a recompute
-storm.  Replicas live in the server's separate **replica namespace**
-(the ``replica`` wire flag, sized by ``replica_headroom``), outside
-primary capacity accounting.
+successor_owner`).  Failover calls the same function to pick each
+bucket's interim owner, here (``LiveClusterClient.fail_server``) and in
+the simulator (``ReplicationManager.fail_node``), so when a primary
+dies its range lands on the node that *already holds* the replica:
+reads fail over to warm copies instead of a recompute storm.
+Replicas live in the server's separate **replica namespace** (the
+``replica`` wire flag, sized by ``replica_headroom``), outside primary
+capacity accounting.
 
 Write path
 ----------
@@ -71,6 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.client import LiveCacheClient, LiveClusterClient
 
 
+#: :meth:`ReplicaManager._holder` on a single-owner ring: there is
+#: nowhere distinct to mirror, so a write counts as mirrored.
+NOWHERE = object()
+
+
 class ReplicaWriteError(ProtocolError):
     """The buddy copy of a write failed after the primary applied it:
     the value is cached, just not mirrored."""
@@ -84,8 +91,7 @@ class ReplicaManager:
     its ranges (``claim_failed`` → ``drain`` → ``release``), serializes
     primary/replica write pairs through a striped key-lock pool, and
     repairs replica placement after ring changes (``rebuild_bucket``).
-    Its two counters, ``replica_hits`` and ``handoff_hints``, are
-    guarded by ``_stats``.
+    A key's replica holder is resolved in one place, :meth:`_holder`.
     """
 
     LOCK_STRIPES = 64
@@ -97,25 +103,14 @@ class ReplicaManager:
         self._ranges = RangeTable()
         #: per failed address: its entries in ``_ranges``
         self._claims: dict[tuple[str, int], list[tuple]] = {}
-        self._stats = threading.Lock()
-        self.replica_hits = 0
-        self.handoff_hints = 0       #: hints queued since the last drain
 
     # ------------------------------------------------------------ locking
 
-    def _lock_for(self, key: int) -> threading.Lock:
-        return self._locks[hash(key) % self.LOCK_STRIPES]
-
-    @contextmanager
-    def key_lock(self, key: int):
-        """Serialize this key's primary+replica write pair."""
-        with self._lock_for(key):
-            yield
-
     @contextmanager
     def key_locks(self, keys):
-        """Batch form: the pool locks of ``keys``, in index order (a global
-        acquisition order, so batches cannot deadlock each other)."""
+        """Serialize the primary+replica write pairs of ``keys``: their
+        pool locks, in index order (a global acquisition order, so
+        batches cannot deadlock each other)."""
         indices = sorted({hash(k) % self.LOCK_STRIPES for k in keys})
         for i in indices:
             self._locks[i].acquire()
@@ -144,29 +139,32 @@ class ReplicaManager:
         bucket = ring.bucket_for_hkey(ring.hash_key(key))
         return ring.successor_owner(bucket)
 
+    def _holder(self, key: int, claimed: bool = True):
+        """The client holding ``key``'s replica: the claimed buddy of a
+        failed-over range (the failure-time holder, drained on restore;
+        skipped when ``claimed`` is false), else the live successor
+        owner's client.  ``None`` when that buddy is not connected (it
+        failed over; the next rebuild re-places the range), and
+        :data:`NOWHERE` on a single-owner ring."""
+        if claimed:
+            client = self._ranges.lookup(self.cluster.ring.hash_key(key))
+            if client is not None:
+                return client
+        addr = self.buddy_address(key)
+        if addr is None:
+            return NOWHERE
+        return self.cluster.clients.get(addr)
+
     # ---------------------------------------------------------- write path
 
     def replicate(self, key: int, value: bytes,
                   deadline_ms: float | None = None,
                   priority: str | None = None) -> None:
-        """Mirror one acked primary write.  Caller holds the key lock.
-
-        Keys inside a failed-over range hint to the range's claimed
-        buddy (the failure-time replica holder, drained on restore);
-        everything else follows the steady-state successor rule.
-        """
-        ring = self.cluster.ring
-        client = self._ranges.lookup(ring.hash_key(key))
-        hinted = client is not None
-        if client is None:
-            addr = self.buddy_address(key)
-            if addr is None:
-                return  # single-owner ring: nowhere distinct to mirror
-            client = self.cluster.clients.get(addr)
-            if client is None:
-                # Buddy failed over between routing and here; the next
-                # rebuild re-places this range.
-                return
+        """Mirror one acked primary write to its :meth:`_holder`.
+        Caller holds the key's lock."""
+        client = self._holder(key)
+        if client is None or client is NOWHERE:
+            return
         try:
             client.put(key, value, deadline_ms=deadline_ms,
                        priority=priority, replica=True)
@@ -175,9 +173,6 @@ class ReplicaManager:
             # must never surface as a typed refusal ("definitely not
             # applied").  Not being a ServerError, it is classified unknown.
             raise ReplicaWriteError(f"replica write failed: {exc}") from exc
-        if hinted:
-            with self._stats:
-                self.handoff_hints += 1
 
     def replicate_many(self, items: list[tuple[int, bytes]],
                        deadline_ms: float | None = None,
@@ -188,42 +183,25 @@ class ReplicaManager:
         listed — the cluster demotes them from its acked count, so the
         caller sees the batch as partially applied (conservative, never
         falsely refused)."""
-        ring = self.cluster.ring
         groups: dict["LiveCacheClient", list] = {}
-        hinted: set[int] = set()
         ok: list[int] = []
         for key, value in items:
-            client = self._ranges.lookup(ring.hash_key(key))
-            if client is not None:
-                hinted.add(key)
-            else:
-                addr = self.buddy_address(key)
-                if addr is None:
-                    ok.append(key)  # nowhere to mirror ≡ mirrored
-                    continue
-                client = self.cluster.clients.get(addr)
-                if client is None:
-                    continue
-            groups.setdefault(client, []).append((key, value))
+            client = self._holder(key)
+            if client is NOWHERE:
+                ok.append(key)  # nowhere to mirror ≡ mirrored
+            elif client is not None:
+                groups.setdefault(client, []).append((key, value))
         for result in self.cluster._put_groups(groups, deadline_ms,
                                                priority, replica=True):
             ok.extend(result.stored)
-            if hinted:
-                with self._stats:
-                    self.handoff_hints += sum(1 for k in result.stored
-                                              if k in hinted)
         return ok
 
     def forget(self, key: int, deadline_ms: float | None = None) -> None:
         """Best-effort replica delete (eviction path).  Caller holds the
-        key lock.  A leaked copy only ever re-serves the key's last
+        key's lock.  A leaked copy only ever re-serves the key's last
         written value — consistent, just not yet evicted."""
-        ring = self.cluster.ring
-        client = self._ranges.lookup(ring.hash_key(key))
-        if client is None:
-            addr = self.buddy_address(key)
-            client = self.cluster.clients.get(addr) if addr else None
-        if client is None:
+        client = self._holder(key)
+        if client is None or client is NOWHERE:
             return
         try:
             client.delete(key, deadline_ms=deadline_ms, replica=True)
@@ -243,12 +221,8 @@ class ReplicaManager:
         client = self._ranges.lookup(self.cluster.ring.hash_key(key))
         if client is None:
             return None
-        value = client.get(key, deadline_ms=deadline_ms,
-                           priority=priority, replica=True)
-        if value is not None:
-            with self._stats:
-                self.replica_hits += 1
-        return value
+        return client.get(key, deadline_ms=deadline_ms,
+                          priority=priority, replica=True)
 
     def fill_from_replicas(self, keys, found: dict,
                            deadline_ms: float | None = None,
@@ -266,70 +240,52 @@ class ReplicaManager:
             client = self._ranges.lookup(ring.hash_key(key))
             if client is not None:
                 by_src.setdefault(client, []).append(key)
-        part = self.cluster._fetch_many(by_src, deadline_ms, priority,
-                                        replica=True)
-        found.update(part)
-        if part:
-            with self._stats:
-                self.replica_hits += len(part)
+        found.update(self.cluster._fetch_many(by_src, deadline_ms, priority,
+                                              replica=True))
 
     def degraded_read(self, key: int,
                       deadline_ms: float | None = None) -> bytes | None:
-        """The coordinator's pre-recompute consult: claimed buddy if a
-        failover already registered one, else the live buddy directly
-        (the primary may be unreachable before the detector has failed
-        it over).  Swallows errors — the caller's fallback is a
+        """The coordinator's pre-recompute consult: the claimed buddy if
+        a failover already registered one, then the live buddy (the
+        primary may be unreachable before the detector has failed it
+        over).  Swallows errors on each — the caller's fallback is a
         recompute, which is always safe."""
-        try:
-            value = self.read(key, deadline_ms=deadline_ms)
-        except (ProtocolError, OSError):
-            value = None
-        if value is not None:
-            return value
-        addr = self.buddy_address(key)
-        client = self.cluster.clients.get(addr) if addr else None
-        if client is None:
-            return None
-        try:
-            value = client.get(key, deadline_ms=deadline_ms, replica=True)
-        except (ProtocolError, OSError):
-            return None
-        if value is not None:
-            with self._stats:
-                self.replica_hits += 1
-        return value
+        for client in dict.fromkeys((self._holder(key),
+                                     self._holder(key, claimed=False))):
+            if client is None or client is NOWHERE:
+                continue
+            try:
+                value = client.get(key, deadline_ms=deadline_ms,
+                                   replica=True)
+            except (ProtocolError, OSError):
+                continue
+            if value is not None:
+                return value
+        return None
 
     # ----------------------------------------------------- failure claims
 
-    def claim_failed(self, address, seg_map: dict[int, list]
-                     ) -> tuple[list, list]:
+    def claim_failed(self, address, seg_map: dict[int, list]) -> None:
         """Take over a dying server's range map *before* the cluster
         writes anything off.  ``seg_map`` maps each of the dead node's
         buckets to its segments.
 
         Every segment whose bucket has a live successor owner (the
-        steady-state buddy, holding its replica) is **covered**:
+        steady-state buddy, holding its replica) is **claimed**:
         registered as a replica read source and as the hint target for
-        writes into the range.  Only the remainder — nothing distinct
-        ever replicated it — is left for the caller to write off.
-        Returns ``(covered, uncovered)`` segment lists.
+        writes into the range.  The remainder — nothing distinct ever
+        replicated it — is written off.
         """
         ring = self.cluster.ring
-        covered: list = []
-        uncovered: list = []
         claims: list[tuple] = []
         for bucket, segments in seg_map.items():
             buddy = ring.successor_owner(bucket)
             client = self.cluster.clients.get(buddy) if buddy else None
-            if client is None:
-                uncovered.extend(segments)
-                continue
-            covered.extend(segments)
-            claims.extend((lo, hi, client) for lo, hi in segments)
+            if client is not None:
+                claims.extend((lo, hi, client) for lo, hi in segments)
         if claims:
             self._claims.setdefault(tuple(address), []).extend(
                 self._ranges.add(claims))
-        return covered, uncovered
 
     def drain(self, address, home: "LiveCacheClient"
               ) -> list[tuple[int, bytes]]:
@@ -344,19 +300,11 @@ class ReplicaManager:
         for lo, hi, src in self._claims.get(tuple(address), []):
             drained += finish_move(
                 prepare_move(src, [(lo, hi)], replica=True), home)
-        with self._stats:
-            self.handoff_hints = 0
         return drained
 
     def release(self, address) -> None:
         """Drop a restored address's claims (after a successful drain)."""
         self._ranges.drop(self._claims.pop(tuple(address), []))
-
-    @property
-    def handoff_depth(self) -> int:
-        """Hints queued on buddies, awaiting a restore drain."""
-        with self._stats:
-            return self.handoff_hints
 
     # ------------------------------------------------------- anti-entropy
 

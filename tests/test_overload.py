@@ -23,10 +23,24 @@ from repro.live.protocol import (DEADLINE, ERROR, GET, HEADER_BYTES, OVERFLOW,
                                  Frame, OverloadedError, ProtocolError,
                                  ServerError, encode, error_from_reply)
 from repro.live.server import AdmissionGate, LiveCacheServer
-from tests.conftest import FakeDest, FakeSource
+from tests.conftest import FakeDest, FakeSource, wait_until
 
 NO_RETRY = RetryPolicy(max_attempts=1, deadline_s=2.0,
                        base_delay_s=0.001, max_delay_s=0.001)
+
+
+def wait_slot_taken(srv, queued: int = 0) -> None:
+    """Block until a blocker holds the server's only worker slot (and
+    ``queued`` more requests wait for it)."""
+    wait_until(lambda: srv.gate.active >= 1 and srv.gate.waiting >= queued,
+               timeout_s=5.0, desc="blocker to occupy the worker slot")
+
+
+def wait_slot_free(srv) -> None:
+    """Block until the server's slots are released: a reply goes out
+    before its slot does, so a joined blocker may still hold one."""
+    wait_until(lambda: srv.gate.active == 0, timeout_s=5.0,
+               desc="worker slot to be released")
 
 
 # ===================================================== AdmissionGate unit
@@ -421,7 +435,7 @@ class TestDeadlineWire:
             t = threading.Thread(
                 target=lambda: blocker.put(1, b"x"), daemon=True)
             t.start()
-            time.sleep(0.05)            # blocker holds the only slot
+            wait_slot_taken(srv)
             with pytest.raises(DeadlineError):
                 # 50ms budget < 200ms residual service time: the server
                 # (queue wait or store-boundary check) must refuse.
@@ -442,7 +456,7 @@ class TestOverloadWire:
         t = threading.Thread(target=lambda: blocker.put(1, b"x"),
                              daemon=True)
         t.start()
-        time.sleep(0.1)                 # the slot is now taken
+        wait_slot_taken(srv)
         return srv, blocker, t
 
     def test_shed_reply_is_typed_with_retry_after(self):
@@ -455,6 +469,7 @@ class TestOverloadWire:
                 assert ei.value.retry_after_ms > 0
                 # the connection survived the refusal: same socket works
                 t.join(timeout=3.0)
+                wait_slot_free(srv)
                 assert victim.get(1) == b"x"
                 assert victim.reconnects == 0
         finally:
@@ -489,7 +504,7 @@ class TestOverloadWire:
             ]
             for t in threads:
                 t.start()
-            time.sleep(0.1)             # slot held + one user queued
+            wait_slot_taken(srv, queued=1)
             with pytest.raises(OverloadedError):
                 clients[2].get(2, priority="background")
             for t in threads:
@@ -547,7 +562,7 @@ class TestCoordinatorOverload:
             t = threading.Thread(target=lambda: blocker.put(1, b"x"),
                                  daemon=True)
             t.start()
-            time.sleep(0.1)
+            wait_slot_taken(srv)
             value = coord.query(7)          # server sheds: recompute
             assert value == _derived(7)
             assert coord.stats.overloaded >= 1
@@ -560,7 +575,7 @@ class TestCoordinatorOverload:
             cluster.close()
             srv.stop()
 
-    def test_background_dropped_under_overload(self, wait_until):
+    def test_background_dropped_under_overload(self):
         srv = LiveCacheServer(capacity_bytes=1 << 20, max_workers=1,
                               max_queue=0, op_delay_s=0.5).start()
         blocker = LiveCacheClient(srv.address, timeout=5.0, retry=NO_RETRY)
@@ -573,8 +588,7 @@ class TestCoordinatorOverload:
             t.start()
             # Only once the blocker actually holds the single worker
             # slot is the gate guaranteed to shed the background op.
-            wait_until(lambda: srv.gate.active >= 1, timeout_s=5.0,
-                       desc="blocker to occupy the worker slot")
+            wait_slot_taken(srv)
             assert coord.prefetch(7) is False    # dropped, not recomputed
             assert coord.stats.shed_background >= 1
             t.join(timeout=3.0)
@@ -587,10 +601,9 @@ class TestCoordinatorOverload:
         srv = LiveCacheServer(capacity_bytes=1 << 20).start()
         cluster = LiveClusterClient([srv.address], ring_range=1 << 20,
                                     retry=NO_RETRY, timeout=2.0)
-        det = FailureDetector(threshold=1)
-        coord = LiveCoordinator(
-            cluster, _derived, detector=det,
-            breaker=CircuitBreaker(detector=det, reset_timeout_s=60.0))
+        coord = LiveCoordinator(cluster, _derived,
+                                detector=FailureDetector(threshold=1))
+        coord.breaker.reset_timeout_s = 60.0
         addr = srv.address
         try:
             srv.stop()                       # shard dies
@@ -617,7 +630,7 @@ class TestCoordinatorOverload:
             t = threading.Thread(target=lambda: blocker.put(1, b"x"),
                                  daemon=True)
             t.start()
-            time.sleep(0.05)
+            wait_slot_taken(srv)
             value = coord.query(9)           # budget < residual service
             assert value == _derived(9)
             assert coord.stats.deadline_misses >= 1

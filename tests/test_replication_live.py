@@ -1,17 +1,21 @@
-"""Buddy replication over the live cluster: placement parity with the
-simulator, the replica namespace, hinted handoff, drain crash safety,
-and anti-entropy rebuild.
+"""Buddy replication over the live cluster: placement and failover
+parity with the simulator, the replica namespace, hinted handoff, drain
+crash safety, and anti-entropy rebuild.
 
 The interesting invariants:
 
-- sim and live agree on *where* every replica lives (ring-successor
-  rule), so conclusions drawn in simulation transfer to the cluster;
+- sim and live agree on *where* every replica lives and where every
+  failed bucket goes — both are the ring-successor rule, so a failed
+  range lands on its buddy — and conclusions drawn in simulation
+  transfer to the cluster;
 - a put acked before its primary dies stays readable from the buddy
   (the Hypothesis property below), and the restore drain can crash at
   any phase without losing an acked record;
 - without a surviving buddy the cluster degrades exactly as the
   unreplicated design did — write off, miss, recompute — never worse.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,30 +103,47 @@ class TestReplicaNamespace:
 
 
 class _SimNode:
+    """An empty simulated node: what placement and failover read."""
+
+    cloud_node = None
+
     def __init__(self, node_id):
         self.node_id = node_id
 
+    def __len__(self):
+        return 0
+
+    def items(self):
+        return []
+
 
 class _StubCache:
-    """The slice of ElasticCooperativeCache that placement reads."""
+    """The slice of ElasticCooperativeCache that placement and
+    failover read."""
 
     def __init__(self, ring, nodes):
         self.ring = ring
         self.nodes = nodes
+        self.cloud = SimpleNamespace(terminate=lambda cloud_node: None)
+
+
+def sim_mirror(cluster, addresses):
+    """A simulator replication manager over a ring with a node at each
+    of the live cluster's bucket positions (``addresses`` in the order
+    the nodes joined), and the address → node map."""
+    sim_ring = ConsistentHashRing(ring_range=cluster.ring.ring_range)
+    by_addr = {addr: _SimNode(f"n{i}") for i, addr in enumerate(addresses)}
+    for pos in cluster.ring.buckets:
+        sim_ring.add_bucket(pos, by_addr[cluster.ring.node_map[pos]])
+    cache = _StubCache(sim_ring, list(by_addr.values()))
+    return ReplicationManager(cache), by_addr
 
 
 class TestBuddyParity:
     def test_sim_buddy_matches_live_buddy_on_same_ring(self, fleet):
         cluster, servers = fleet
-        addresses = [s.address for s in servers]
-        # A sim ring with nodes at the *same* positions the live
-        # cluster placed its initial buckets.
-        sim_ring = ConsistentHashRing(ring_range=RING)
-        sim_nodes = [_SimNode(f"n{i}") for i in range(len(addresses))]
-        by_addr = dict(zip(addresses, sim_nodes))
-        for pos in cluster.ring.buckets:
-            sim_ring.add_bucket(pos, by_addr[cluster.ring.node_map[pos]])
-        sim = ReplicationManager(_StubCache(sim_ring, sim_nodes))
+        sim, by_addr = sim_mirror(cluster, [s.address for s in servers])
+        sim_ring = sim.cache.ring
         for key in spread_keys(48):
             live_buddy = cluster.replica.buddy_address(key)
             sim_buddy = sim.buddy_for_hkey(sim_ring.hash_key(key))
@@ -143,7 +164,35 @@ class TestBuddyParity:
         ring.add_bucket(9000, node)
         sim = ReplicationManager(_StubCache(ring, [node]))
         assert sim.buddy_for_hkey(50) is None
-        assert sim.buddy_of(node) is None
+
+    def test_failed_buckets_go_to_their_buddy_in_sim_and_live(self, fleet):
+        """Failover and placement are one function in both stacks: each
+        bucket of a failed node goes to its pre-failure successor owner
+        (the buddy holding its replica) under ``fail_server`` and under
+        the simulator's ``fail_node`` alike."""
+        cluster, servers = fleet
+        extra = LiveCacheServer(capacity_bytes=1 << 20).start()
+        try:
+            # A fourth server splits a bucket: the ring is no longer
+            # one evenly spaced bucket per node.
+            cluster.add_server(extra.address, RING // 6)
+            joined = [s.address for s in servers] + [extra.address]
+            for victim in joined:
+                sim, by_addr = sim_mirror(cluster, joined)
+                buddy = {b: cluster.ring.successor_owner(b)
+                         for b in cluster.ring.buckets_of(victim)}
+                assert buddy and victim not in buddy.values()
+                cluster.fail_server(victim)
+                live_heirs = {b: cluster.ring.node_map[b] for b in buddy}
+                assert live_heirs == buddy
+                sim.fail_node(by_addr[victim])
+                sim_heirs = {b: sim.cache.ring.node_map[b].node_id
+                             for b in buddy}
+                assert sim_heirs == {b: by_addr[a].node_id
+                                     for b, a in buddy.items()}
+                cluster.restore_server(victim)
+        finally:
+            extra.stop()
 
 
 # ======================================== failover: covered vs written off
@@ -182,12 +231,14 @@ class TestFailoverCoverage:
         servers[[s.address for s in servers].index(victim)].stop()
         cluster.fail_server(victim, forward=False)
         for k in vkeys:
+            # The interim owner's primary namespace starts empty for the
+            # range, so the value can only come from the buddy's copy.
+            assert cluster.client_for(k).get(k) is None
             assert cluster.get(k) == b"v%d" % k
-        assert cluster.replica.replica_hits >= len(vkeys)
 
     def test_dead_buddy_degrades_to_write_off(self, fleet):
         """The no-replica fallback: when the range's buddy is *also*
-        gone, claim_failed reports it uncovered and reads degrade to
+        gone, claim_failed leaves it unclaimed and reads degrade to
         misses — never an error, never a stale value."""
         cluster, servers = fleet
         keys = spread_keys()
@@ -200,7 +251,7 @@ class TestFailoverCoverage:
         servers[addr_of.index(buddy)].stop()
         cluster.fail_server(buddy, forward=False)
         # ...then the primary: nothing distinct holds keys[0]'s replica
-        # anymore, so its segment comes back uncovered.
+        # anymore, so its segment is written off.
         servers[addr_of.index(victim)].stop()
         cluster.fail_server(victim, forward=False)
         assert cluster.get(keys[0]) is None
@@ -318,15 +369,19 @@ class TestHandoffAndRebuild:
             cluster.put(k, b"old%d" % k)
         victim = cluster.address_for(keys[0])
         vkeys = [k for k in keys if cluster.address_for(k) == victim]
+        buddy = {k: cluster.replica.buddy_address(k) for k in vkeys}
         slot = self._kill(cluster, servers, victim)
         for k in vkeys:                      # outage writes
             cluster.put(k, b"new%d" % k)
-        assert cluster.replica.handoff_depth == len(vkeys)
+        # Each outage write left its hint in the claimed buddy's
+        # replica namespace.
+        for k in vkeys:
+            with LiveCacheClient(buddy[k]) as bc:
+                assert bc.get(k, replica=True) == b"new%d" % k
         host, port = victim
         servers[slot] = LiveCacheServer(host=host, port=port,
                                         capacity_bytes=1 << 20).start()
         cluster.restore_server(victim)
-        assert cluster.replica.handoff_depth == 0
         for k in keys:
             expect = b"new%d" % k if k in vkeys else b"old%d" % k
             assert cluster.get(k) == expect
