@@ -26,68 +26,61 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.
 """
 
-from repro.cloud import BillingMeter, CloudNode, InstanceType, NetworkModel, SimulatedCloud
-from repro.core import (
-    CacheConfig,
-    Coordinator,
-    ContractionConfig,
-    ElasticCooperativeCache,
-    EvictionConfig,
-    ExperimentTimings,
-    MetricsRecorder,
-    StaticCooperativeCache,
-)
-from repro.services import (
-    CoastalTerrainModel,
-    CompositeService,
-    Service,
-    ServiceRegistry,
-    ServiceResult,
-    ShorelineExtractionService,
-    SyntheticService,
-    WaterLevelModel,
-)
-from repro.sfc import BSquareTree, Linearizer
-from repro.sim import RngStreams, SimClock
-from repro.workload import KeySpace, QueryTrace, QueryWorkload, RateSchedule
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: public name -> the subpackage that defines it.  Resolved on first use
+#: (PEP 562), so importing one subpackage -- a cache server process
+#: imports only ``repro.live.server`` -- never loads the others.
+_EXPORTS = {
     # sim
-    "SimClock",
-    "RngStreams",
+    "SimClock": "repro.sim",
+    "RngStreams": "repro.sim",
     # cloud
-    "SimulatedCloud",
-    "CloudNode",
-    "InstanceType",
-    "NetworkModel",
-    "BillingMeter",
+    "SimulatedCloud": "repro.cloud",
+    "CloudNode": "repro.cloud",
+    "InstanceType": "repro.cloud",
+    "NetworkModel": "repro.cloud",
+    "BillingMeter": "repro.cloud",
     # core
-    "CacheConfig",
-    "EvictionConfig",
-    "ContractionConfig",
-    "ExperimentTimings",
-    "ElasticCooperativeCache",
-    "StaticCooperativeCache",
-    "Coordinator",
-    "MetricsRecorder",
+    "CacheConfig": "repro.core",
+    "EvictionConfig": "repro.core",
+    "ContractionConfig": "repro.core",
+    "ExperimentTimings": "repro.core",
+    "ElasticCooperativeCache": "repro.core",
+    "StaticCooperativeCache": "repro.core",
+    "Coordinator": "repro.core",
+    "MetricsRecorder": "repro.core",
     # services
-    "Service",
-    "ServiceResult",
-    "ServiceRegistry",
-    "SyntheticService",
-    "ShorelineExtractionService",
-    "CoastalTerrainModel",
-    "WaterLevelModel",
-    "CompositeService",
+    "Service": "repro.services",
+    "ServiceResult": "repro.services",
+    "ServiceRegistry": "repro.services",
+    "SyntheticService": "repro.services",
+    "ShorelineExtractionService": "repro.services",
+    "CoastalTerrainModel": "repro.services",
+    "WaterLevelModel": "repro.services",
+    "CompositeService": "repro.services",
     # sfc
-    "Linearizer",
-    "BSquareTree",
+    "Linearizer": "repro.sfc",
+    "BSquareTree": "repro.sfc",
     # workload
-    "KeySpace",
-    "QueryWorkload",
-    "QueryTrace",
-    "RateSchedule",
-]
+    "KeySpace": "repro.workload",
+    "QueryWorkload": "repro.workload",
+    "QueryTrace": "repro.workload",
+    "RateSchedule": "repro.workload",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

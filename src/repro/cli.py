@@ -7,6 +7,17 @@ Commands
     report tables.
 ``trace``
     Materialize a workload trace to ``.npz`` for exact replay elsewhere.
+``sweep``
+    Grid-sweep config parameters over a workload and tabulate the
+    summaries.
+``analyze``
+    Redundancy analysis of a saved trace: reuse distances and the LRU
+    hit rate each cache capacity would get.
+``serve``
+    Run one live TCP cache server until stopped.  It imports only
+    :mod:`repro.live.server`, so it boots without the simulator.
+``export``
+    Write every figure's series as CSV (and optionally SVG).
 ``run``
     Drive one system (gba or static-N) over a workload and print the
     summary — the quickest way to poke at parameters without writing
@@ -180,7 +191,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"cache server listening on {host}:{port} "
           f"(capacity {args.capacity} B, {args.max_workers} workers, "
           f"queue {args.max_queue}); "
-          f"Ctrl-C to stop")
+          f"Ctrl-C to stop", flush=True)
     stop = threading.Event()
     if args.run_seconds is not None:  # test hook: bounded lifetime
         stop.wait(args.run_seconds)
@@ -191,7 +202,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
     server.stop()
-    print("server stopped")
+    print("server stopped", flush=True)
     return 0
 
 
@@ -248,6 +259,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = run_check(config)
     print(report.render())
     return 0 if report.ok else 1
+
+
+def _nemesis(name: str) -> str:
+    """``--nemesis`` choices, checked only when ``check`` is parsed: the
+    nemesis module pulls in the fault layer and the simulator, which
+    ``repro serve`` must not load."""
+    from repro.check.nemesis import NEMESES
+
+    if name not in NEMESES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(map(repr, NEMESES))})")
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)
 
-    from repro.check.nemesis import NEMESES
-
     p_check = sub.add_parser(
         "check", help="run a nemesis schedule against a live cluster and "
                       "check the recorded history for per-key linearizability")
@@ -345,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="initial cluster size")
     p_check.add_argument("--keyspace", type=int, default=16,
                          help="distinct keys the workload touches")
-    p_check.add_argument("--nemesis", choices=NEMESES, default="mix",
-                         help="fault schedule to run mid-history")
+    p_check.add_argument("--nemesis", type=_nemesis, default="mix",
+                         help="fault schedule to run mid-history "
+                              "(see repro.check.nemesis.NEMESES)")
     p_check.set_defaults(func=_cmd_check)
     return parser
 

@@ -87,3 +87,10 @@ class TestCommands:
         assert "reuse-distance histogram" in out
         assert "predicted LRU hit rate" in out
         assert "zipf exponent" in out
+
+    def test_check_bad_nemesis_lists_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--nemesis", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "'replica-kill'" in err

@@ -1,5 +1,6 @@
 """Subprocess test for the `repro serve` CLI command."""
 
+import os
 import re
 import subprocess
 import sys
@@ -9,10 +10,14 @@ from repro.live.client import LiveCacheClient
 
 
 def test_serve_command_serves_real_traffic(tmp_path):
+    # stdout is a pipe, so the banner must be flushed explicitly: an
+    # inherited PYTHONUNBUFFERED would hide a missing flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--capacity", "1048576", "--run-seconds", "8"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
     )
     try:
         line = proc.stdout.readline()
