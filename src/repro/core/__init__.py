@@ -3,8 +3,7 @@
 Layering (bottom → top):
 
 * :class:`ConsistentHashRing` — buckets ``B`` and ``NodeMap`` (Sec. II-A,
-  Fig. 1), with per-bucket load accounting used by GBA's fullest-bucket
-  selection.
+  Fig. 1); bucket loads come from the nodes' stores.
 * :class:`CacheNode` — one cloud node's slice of the cache: capacity
   accounting (``||n||``, ``⌈n⌉``) over a B+-tree index.
 * :class:`GreedyBucketAllocator` — Algorithms 1 (GBA-insert) and 2
@@ -19,49 +18,48 @@ Layering (bottom → top):
   invocation on miss, metrics.
 """
 
-from repro.core.config import (
-    CacheConfig,
-    ContractionConfig,
-    EvictionConfig,
-    ExperimentTimings,
-)
-from repro.core.ring import ConsistentHashRing, RingError
-from repro.core.record import CacheRecord
-from repro.core.cachenode import CacheNode, CapacityError
-from repro.core.gba import GreedyBucketAllocator, SplitEvent
-from repro.core.sliding_window import SlidingWindowEvictor
-from repro.core.contraction import Contractor, MergeEvent
-from repro.core.elastic import ElasticCooperativeCache
-from repro.core.static_cache import StaticCooperativeCache
-from repro.core.directory import DirectoryCache
-from repro.core.autoscaler import AutoscaledModNCache, ResizeEvent
-from repro.core.lru import LRUTracker
-from repro.core.coordinator import Coordinator, QueryOutcome
-from repro.core.metrics import MetricsRecorder, StepStats
+import importlib
 
-__all__ = [
-    "CacheConfig",
-    "EvictionConfig",
-    "ContractionConfig",
-    "ExperimentTimings",
-    "ConsistentHashRing",
-    "RingError",
-    "CacheRecord",
-    "CacheNode",
-    "CapacityError",
-    "GreedyBucketAllocator",
-    "SplitEvent",
-    "SlidingWindowEvictor",
-    "Contractor",
-    "MergeEvent",
-    "ElasticCooperativeCache",
-    "StaticCooperativeCache",
-    "DirectoryCache",
-    "AutoscaledModNCache",
-    "ResizeEvent",
-    "LRUTracker",
-    "Coordinator",
-    "QueryOutcome",
-    "MetricsRecorder",
-    "StepStats",
-]
+#: public name -> its defining module, imported on first use (PEP 562),
+#: so a live client that needs only :mod:`repro.core.ring` loads neither
+#: the simulator nor NumPy.
+_EXPORTS = {
+    "CacheConfig": "repro.core.config",
+    "EvictionConfig": "repro.core.config",
+    "ContractionConfig": "repro.core.config",
+    "ExperimentTimings": "repro.core.config",
+    "ConsistentHashRing": "repro.core.ring",
+    "RingError": "repro.core.ring",
+    "CacheRecord": "repro.core.record",
+    "CacheNode": "repro.core.cachenode",
+    "CapacityError": "repro.core.cachenode",
+    "GreedyBucketAllocator": "repro.core.gba",
+    "SplitEvent": "repro.core.gba",
+    "SlidingWindowEvictor": "repro.core.sliding_window",
+    "Contractor": "repro.core.contraction",
+    "MergeEvent": "repro.core.contraction",
+    "ElasticCooperativeCache": "repro.core.elastic",
+    "StaticCooperativeCache": "repro.core.static_cache",
+    "DirectoryCache": "repro.core.directory",
+    "AutoscaledModNCache": "repro.core.autoscaler",
+    "ResizeEvent": "repro.core.autoscaler",
+    "LRUTracker": "repro.core.lru",
+    "Coordinator": "repro.core.coordinator",
+    "QueryOutcome": "repro.core.coordinator",
+    "MetricsRecorder": "repro.core.metrics",
+    "StepStats": "repro.core.metrics",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

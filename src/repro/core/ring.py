@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING
 
-from repro.sim.rng import stable_key_hash
+from repro.hashing import stable_key_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cachenode import CacheNode
@@ -93,6 +93,17 @@ class ConsistentHashRing:
                 )
             return key
         return stable_key_hash(key)
+
+    def hash_keys(self, keys) -> list[int]:
+        """:meth:`hash_key` over a batch, in order, with the same errors:
+        in identity mode one range check covers the whole batch."""
+        if self.hash_mode == "identity":
+            keys = list(keys)
+            if keys and (min(keys) < 0 or max(keys) >= self.ring_range):
+                for key in keys:
+                    self.hash_key(key)  # raises for the first stray key
+            return keys
+        return [stable_key_hash(key) for key in keys]
 
     def bucket_for_hkey(self, hkey: int) -> int:
         """``h(k)``: the closest upper bucket, wrapping circularly."""

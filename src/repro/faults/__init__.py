@@ -27,28 +27,38 @@ so recompute-on-miss is always a correct fallback — a dead cache node
 may cost latency, never correctness.
 """
 
-from repro.faults.breaker import CircuitBreaker
-from repro.faults.detector import FailureDetector
-from repro.faults.driver import LiveFaultDriver
-from repro.faults.plan import (ELASTIC_KINDS, KINDS, WINDOWED_KINDS,
-                              FaultEvent, FaultPlan)
-from repro.faults.proxy import FaultProxy
-from repro.faults.retry import RetryPolicy, call_with_retry
-from repro.faults.simfaults import FaultyCache, SimFaultInjector, SimFaultStats
+import importlib
 
-__all__ = [
-    "ELASTIC_KINDS",
-    "KINDS",
-    "WINDOWED_KINDS",
-    "CircuitBreaker",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultProxy",
-    "FailureDetector",
-    "FaultyCache",
-    "LiveFaultDriver",
-    "RetryPolicy",
-    "SimFaultInjector",
-    "SimFaultStats",
-    "call_with_retry",
-]
+#: public name -> its defining module, imported on first use (PEP 562),
+#: so a live client that needs only the retry policy loads neither the
+#: simulator-side injector nor the proxy.
+_EXPORTS = {
+    "ELASTIC_KINDS": "repro.faults.plan",
+    "KINDS": "repro.faults.plan",
+    "WINDOWED_KINDS": "repro.faults.plan",
+    "CircuitBreaker": "repro.faults.breaker",
+    "FaultEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "FaultProxy": "repro.faults.proxy",
+    "FailureDetector": "repro.faults.detector",
+    "FaultyCache": "repro.faults.simfaults",
+    "LiveFaultDriver": "repro.faults.driver",
+    "RetryPolicy": "repro.faults.retry",
+    "SimFaultInjector": "repro.faults.simfaults",
+    "SimFaultStats": "repro.faults.simfaults",
+    "call_with_retry": "repro.faults.retry",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

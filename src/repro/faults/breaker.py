@@ -113,7 +113,12 @@ class CircuitBreaker:
         In half-open state, the first caller gets ``True`` (the probe)
         and concurrent callers get ``False`` until the probe resolves
         via :meth:`record_success`/:meth:`record_failure`.
+
+        With no breaker open anywhere it answers without the lock: a
+        breaker opening concurrently orders after this call.
         """
+        if not self._opened_at:
+            return True
         with self._lock:
             if target not in self._opened_at:
                 return True
@@ -128,7 +133,14 @@ class CircuitBreaker:
     # ------------------------------------------------------ observations
 
     def record_success(self, target: Hashable) -> None:
-        """A request to ``target`` completed: close (or keep closed)."""
+        """A request to ``target`` completed: close (or keep closed).
+
+        A closed target with no failure streak has nothing to clear, so
+        the common case takes no lock; a failure recorded concurrently
+        orders after this success."""
+        if (target not in self._opened_at
+                and not self.detector.failures(target)):
+            return
         with self._lock:
             self.detector.record_success(target)
             if target in self._opened_at:

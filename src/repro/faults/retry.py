@@ -95,6 +95,8 @@ def call_with_retry(
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
     on_retry: Callable[[int, BaseException], None] | None = None,
+    failed: BaseException | None = None,
+    started: float | None = None,
 ):
     """Call ``fn`` under ``policy``; re-raise its last error on give-up.
 
@@ -104,23 +106,34 @@ def call_with_retry(
     ``give_up_on`` lists exceptions that propagate immediately even when
     they are subclasses of a ``retry_on`` entry — e.g. an exhausted
     per-op deadline, where another attempt can only fail the same way.
+
+    ``failed`` resumes a call whose first attempt the caller already
+    made itself, from ``started`` (a ``clock`` reading), and which
+    raised ``failed`` (a ``retry_on`` error): that attempt counts as the
+    first of ``max_attempts`` and the deadline runs from ``started``.
+    So a caller can keep its success path out of this function and
+    still retry under exactly the policy it would have run under here.
     """
     retry_on = tuple(retry_on)
     give_up_on = tuple(give_up_on)
-    t0 = clock()
+    t0 = clock() if started is None else started
     failures = 0
+    exc = failed
     while True:
-        try:
-            return fn()
-        except give_up_on:
-            raise
-        except retry_on as exc:
-            failures += 1
-            if failures >= policy.max_attempts:
+        if exc is None:
+            try:
+                return fn()
+            except give_up_on:
                 raise
-            delay = policy.backoff_s(failures, rng)
-            if clock() - t0 + delay > policy.deadline_s:
-                raise
-            if on_retry is not None:
-                on_retry(failures, exc)
-            sleep(delay)
+            except retry_on as caught:
+                exc = caught
+        failures += 1
+        if failures >= policy.max_attempts:
+            raise exc
+        delay = policy.backoff_s(failures, rng)
+        if clock() - t0 + delay > policy.deadline_s:
+            raise exc
+        if on_retry is not None:
+            on_retry(failures, exc)
+        exc = None
+        sleep(delay)

@@ -33,6 +33,7 @@ import random
 import socket
 import threading
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -184,12 +185,19 @@ class LiveCacheClient:
     def _note_retry(self, failures: int, exc: BaseException) -> None:
         self.retries += 1
 
-    def _retrying(self, attempt: Callable[[], object]):
-        """Run ``attempt`` under the retry policy (lock held) — the one
-        retry rule of every request.  A typed refusal
+    def _retrying(self, attempt: Callable[[], object],
+                  failed: BaseException, started: float):
+        """The rest of a request whose first attempt, made inline by the
+        caller from ``started`` (lock held), failed with ``failed`` — the
+        one retry rule of every request.  A typed refusal
         (:data:`~repro.live.protocol.REFUSALS`) is raised at once with
-        the connection kept; any other failure leaves the stream out of
-        step, so the connection is dropped before the next attempt."""
+        the connection kept, so callers re-raise it without coming here;
+        any other failure leaves the stream out of step, so the
+        connection is dropped before the next attempt.  The inline
+        attempt is the policy's first: same attempt count, same
+        deadline, same backoff."""
+        self._drop_locked()
+
         def guarded():
             try:
                 return attempt()
@@ -201,26 +209,40 @@ class LiveCacheClient:
         return call_with_retry(guarded, self.retry,
                                retry_on=(ProtocolError, OSError),
                                give_up_on=REFUSALS, rng=self._rng,
-                               on_retry=self._note_retry)
+                               on_retry=self._note_retry,
+                               failed=failed, started=started)
+
+    def _request(self, frame: Frame, expires_at: float | None,
+                 default: str) -> tuple[Frame, list | tuple]:
+        """One attempt of :meth:`_call` (lock held)."""
+        send_frame(self._ensure_locked(),
+                   self._stamp_deadline(frame, expires_at))
+        reply = self._reader.recv_frame()
+        if reply.code != OK:
+            raise error_from_reply(reply, default)
+        if frame.code in (SWEEP, EXTRACT_PREPARE):
+            return reply, self._recv_records(reply.n)
+        return reply, ()
 
     def _call(self, frame: Frame, deadline_ms: float | None = None,
               default: str = "request failed"
-              ) -> tuple[Frame, list[tuple[int, bytes]]]:
-        """One retried request → its ``OK`` reply and, for a range op,
-        the records streamed after it (else ``[]``)."""
-        expires_at = _expiry(deadline_ms)
-
-        def attempt():
-            send_frame(self._ensure_locked(),
-                       self._stamp_deadline(frame, expires_at))
-            reply = self._reader.recv_frame()
-            if reply.code != OK:
-                raise error_from_reply(reply, default)
-            if frame.code in (SWEEP, EXTRACT_PREPARE):
-                return reply, self._recv_records(reply.n)
-            return reply, []
+              ) -> tuple[Frame, list | tuple]:
+        """One request → its ``OK`` reply and, for a range op, the
+        records streamed after it (else ``()``).  The first attempt
+        runs right here; only a transport failure enters
+        :meth:`_retrying`."""
+        started = time.monotonic()
+        expires_at = (None if deadline_ms is None
+                      else started + deadline_ms / 1000.0)
         with self._lock:
-            return self._retrying(attempt)
+            try:
+                return self._request(frame, expires_at, default)
+            except REFUSALS:
+                raise
+            except (ProtocolError, OSError) as exc:
+                return self._retrying(
+                    lambda: self._request(frame, expires_at, default),
+                    exc, started)
 
     @staticmethod
     def _flags(priority: str | None = None, if_absent: bool = False,
@@ -391,30 +413,33 @@ class LiveCacheClient:
         the drain, so the policy sees it as the first attempt's.  The
         caller must call the drain exactly once.
         """
-        expires_at = _expiry(deadline_ms)
+        started = time.monotonic()
+        expires_at = (None if deadline_ms is None
+                      else started + deadline_ms / 1000.0)
 
-        def start() -> dict:
-            return self._start_pass(op, chunks, state, expires_at, flags)
+        def attempt(run: dict | None = None) -> None:
+            if run is None:
+                run = self._start_pass(op, chunks, state, expires_at, flags)
+            self._finish_pass(op, chunks, state, run, expires_at, flags)
         self._lock.acquire()
         try:
-            started = start()
+            first = self._start_pass(op, chunks, state, expires_at, flags)
         except (ProtocolError, OSError) as exc:
-            started = exc
+            first = exc
         except BaseException:
             self._lock.release()
             raise
 
-        def attempt() -> None:
-            nonlocal started
-            run, started = started, None
-            if isinstance(run, BaseException):
-                raise run
-            self._finish_pass(op, chunks, state, run or start(),
-                              expires_at, flags)
-
         def drain() -> None:
             try:
-                self._retrying(attempt)
+                try:
+                    if isinstance(first, BaseException):
+                        raise first
+                    attempt(first)
+                except REFUSALS:
+                    raise
+                except (ProtocolError, OSError) as exc:
+                    self._retrying(attempt, exc, started)
             finally:
                 self._lock.release()
         return drain
@@ -585,38 +610,34 @@ class _TopologyLock:
     """Writer-priority reader-writer lock for cluster topology.
 
     Every routed data op (get/put/delete and the batched fan-outs)
-    holds the lock *shared* for its full duration; topology mutations
-    (add/remove/fail/restore) hold it *exclusive* around the move's
-    prepare, the ring edit and forwarding registration.  That closes
-    the straggler window: no op that resolved an owner under the old
-    topology can still be in flight when the ring changes, so the
-    snapshot is complete — nothing can sneak a write into the source
-    interval afterwards.
+    holds the lock *shared* for its full duration
+    (``with lock.shared:``); topology mutations (add/remove/fail/
+    restore) hold it *exclusive* (``with lock.exclusive():``) around
+    the move's prepare, the ring edit and forwarding registration.
+    That closes the straggler window: no op that resolved an owner
+    under the old topology can still be in flight when the ring
+    changes, so the snapshot is complete — nothing can sneak a write
+    into the source interval afterwards.
 
     Writer priority: once a topology change is waiting, new readers
     queue behind it, so elastic operations cannot be starved by a busy
     workload.
+
+    The shared hold is on every routed op, so it is one reusable
+    context object over a plain lock, and a reader leaving wakes the
+    waiters only when a writer is waiting (the writer registers itself
+    under the same lock before it checks for readers, so no wake-up is
+    lost).
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
-
-    @contextmanager
-    def shared(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
+        #: ``with topo.shared:`` — the routed ops' hold
+        self.shared = _SharedHold(self)
 
     @contextmanager
     def exclusive(self):
@@ -625,8 +646,12 @@ class _TopologyLock:
             try:
                 while self._writer or self._readers:
                     self._cond.wait()
-            finally:
+            except BaseException:
+                # Readers queued behind this writer must not stay parked.
                 self._writers_waiting -= 1
+                self._cond.notify_all()
+                raise
+            self._writers_waiting -= 1
             self._writer = True
         try:
             yield
@@ -634,6 +659,29 @@ class _TopologyLock:
             with self._cond:
                 self._writer = False
                 self._cond.notify_all()
+
+
+class _SharedHold:
+    """:attr:`_TopologyLock.shared`: enter to hold the lock shared."""
+
+    __slots__ = ("_topo",)
+
+    def __init__(self, topo: _TopologyLock) -> None:
+        self._topo = topo
+
+    def __enter__(self) -> None:
+        topo = self._topo
+        with topo._lock:
+            while topo._writer or topo._writers_waiting:
+                topo._cond.wait()
+            topo._readers += 1
+
+    def __exit__(self, *exc) -> None:
+        topo = self._topo
+        with topo._lock:
+            topo._readers -= 1
+            if not topo._readers and topo._writers_waiting:
+                topo._cond.notify_all()
 
 
 class LiveClusterClient:
@@ -727,13 +775,24 @@ class LiveClusterClient:
         """The server responsible for ``key`` under ``h(k)``."""
         return self.clients[self.address_for(key)]
 
+    def _locate(self, key: int) -> tuple[int, int]:
+        """``(h'(k), h(k))``: ``key``'s hash position and its bucket —
+        the one ring lookup a routed op makes.  The owner
+        (``ring.node_map[bucket]``) and the buddy
+        (``ring.successor_owner(bucket)``) both come from that bucket.
+        Call it under the topology hold that uses the answer."""
+        hkey = self.ring.hash_key(key)
+        return hkey, self.ring.bucket_for_hkey(hkey)
+
     @property
     def total_retries(self) -> int:
         """Idempotent-request retries summed over live connections."""
         return sum(c.retries for c in list(self.clients.values()))
 
     def get(self, key: int, deadline_ms: float | None = None,
-            priority: str | None = None) -> bytes | None:
+            priority: str | None = None,
+            gate: Callable[[tuple[str, int]], None] | None = None
+            ) -> bytes | None:
         """Routed fetch.
 
         While a migration copy is in flight for ``key``'s interval, a
@@ -746,20 +805,32 @@ class LiveClusterClient:
         one more fallback after the forward chain: its claimed buddy's
         replica namespace.  Owner first, replica last — an outage write
         lands on the interim owner, so the newest value always wins.
+
+        ``gate``, when given, is called with the owner's address under
+        the same topology hold as the request, before anything is sent;
+        an exception it raises stops the fetch.  The coordinator checks
+        its circuit breaker there, so the address it charges is the one
+        the request went to, from the op's one ring lookup.
         """
-        with self._topo.shared():
-            value = self.client_for(key).get(key, deadline_ms=deadline_ms,
-                                             priority=priority)
+        with self._topo.shared:
+            hkey, bucket = self._locate(key)
+            addr = self.ring.node_map[bucket]
+            if gate is not None:
+                gate(addr)
+            owner = self.clients[addr]
+            value = owner.get(key, deadline_ms=deadline_ms,
+                              priority=priority)
             if value is None:
-                src = self._forwards.lookup(self.ring.hash_key(key))
+                src = self._forwards.lookup(hkey)
                 if src is not None:
                     value = src.get(key, deadline_ms=deadline_ms,
                                     priority=priority)
                     if value is None:
-                        value = self.client_for(key).get(
-                            key, deadline_ms=deadline_ms, priority=priority)
+                        # The hold pins the owner: re-check the same one.
+                        value = owner.get(key, deadline_ms=deadline_ms,
+                                          priority=priority)
             if value is None and self.replica is not None:
-                value = self.replica.read(key, deadline_ms=deadline_ms,
+                value = self.replica.read(key, hkey, deadline_ms=deadline_ms,
                                           priority=priority)
             return value
 
@@ -776,24 +847,28 @@ class LiveClusterClient:
         it as "may have applied" (as the consistency harness does) stay
         sound.
         """
-        with self._topo.shared():
+        with self._topo.shared:
+            hkey, bucket = self._locate(key)
+            owner = self.clients[self.ring.node_map[bucket]]
             if self.replica is None:
-                self.client_for(key).put(key, value, deadline_ms=deadline_ms,
-                                         priority=priority)
+                owner.put(key, value, deadline_ms=deadline_ms,
+                          priority=priority)
                 return
             with self.replica.key_locks((key,)):
-                self.client_for(key).put(key, value, deadline_ms=deadline_ms,
-                                         priority=priority)
-                self.replica.replicate(key, value, deadline_ms=deadline_ms,
+                owner.put(key, value, deadline_ms=deadline_ms,
+                          priority=priority)
+                self.replica.replicate(key, value, hkey, bucket,
+                                       deadline_ms=deadline_ms,
                                        priority=priority)
 
     def delete(self, key: int) -> bool:
         """Routed delete (also removes any in-flight migration copy so
         the source cannot resurrect the key, and — with replication —
         the buddy copy, best-effort)."""
-        with self._topo.shared():
-            found, _ = self.client_for(key).delete(key)
-            src = self._forwards.lookup(self.ring.hash_key(key))
+        with self._topo.shared:
+            hkey, bucket = self._locate(key)
+            found, _ = self.clients[self.ring.node_map[bucket]].delete(key)
+            src = self._forwards.lookup(hkey)
             if src is not None:
                 try:
                     src_found, _ = src.delete(key)
@@ -802,7 +877,7 @@ class LiveClusterClient:
                 found = found or src_found
             if self.replica is not None:
                 with self.replica.key_locks((key,)):
-                    self.replica.forget(key)
+                    self.replica.forget(key, hkey, bucket)
             return found
 
     # ---------------------------------------------------- batched fan-out
@@ -818,13 +893,35 @@ class LiveClusterClient:
         on concurrent threads can never wait on each other in a cycle."""
         return sorted(groups.items(), key=lambda kv: kv[0].address)
 
-    def _group_by_owner(self, entries) -> dict[LiveCacheClient, list]:
-        """Split batch entries across ring owners (``h(k)`` routing)."""
-        groups: dict[tuple[str, int], list] = {}
-        for entry in entries:
-            key = entry[0] if isinstance(entry, tuple) else entry
-            groups.setdefault(self.address_for(key), []).append(entry)
-        return {self.clients[addr]: group for addr, group in groups.items()}
+    def _group_by_owner(self, entries, keys=None
+                        ) -> dict[LiveCacheClient, list]:
+        """Split batch entries across ring owners (``h(k)`` routing),
+        each owner's entries in input order.  ``keys`` are the entries'
+        keys (default: the entries themselves).
+
+        One pass in hash order, one ring lookup per *run*: the smallest
+        unrouted position finds its bucket (``bucket_for_hkey``), and
+        every position up to that bucket — or, past the last bucket,
+        every one left — is the bucket's (a bisect).
+        """
+        ring = self.ring
+        hkeys = ring.hash_keys(entries if keys is None else keys)
+        order = sorted(range(len(hkeys)), key=hkeys.__getitem__)
+        ordered = [hkeys[i] for i in order]
+        runs: dict[LiveCacheClient, list[int]] = {}
+        start = 0
+        while start < len(ordered):
+            hkey = ordered[start]
+            bucket = ring.bucket_for_hkey(hkey)
+            end = (len(ordered) if bucket < hkey
+                   else bisect_right(ordered, bucket, start))
+            runs.setdefault(self.clients[ring.node_map[bucket]],
+                            []).extend(order[start:end])
+            start = end
+        if len(runs) == 1:
+            return {client: list(entries) for client in runs}
+        return {client: [entries[i] for i in sorted(indices)]
+                for client, indices in runs.items()}
 
     def _fan_out(self, branches: list) -> list:
         """Scatter-gather on the calling thread, in two phases.
@@ -910,7 +1007,7 @@ class LiveClusterClient:
         if not keys:
             return {}
         expires_at = _expiry(deadline_ms)
-        with self._topo.shared():
+        with self._topo.shared:
             found = self._fetch_many(self._group_by_owner(keys),
                                      _remaining_ms(expires_at), priority)
             if self._forwards:
@@ -969,7 +1066,7 @@ class LiveClusterClient:
         if not items:
             return 0
         expires_at = _expiry(deadline_ms)
-        with self._topo.shared():
+        with self._topo.shared:
             if self.replica is None:
                 return len(self._put_primaries(items, expires_at, priority))
             values = dict(items)
@@ -986,8 +1083,8 @@ class LiveClusterClient:
         Returns the stored keys (each failed shard counted)."""
         stored: list[int] = []
         for result in self._put_groups(
-                self._group_by_owner(items), _remaining_ms(expires_at),
-                priority):
+                self._group_by_owner(items, [k for k, _ in items]),
+                _remaining_ms(expires_at), priority):
             stored += result.stored
             if result.error is not None:
                 self._note_shard_failure()
@@ -1298,13 +1395,14 @@ class LiveClusterClient:
         concurrent newer write must win)."""
         if self.replica is None:
             return None
-        with self._topo.shared():
-            value = self.replica.degraded_read(key, deadline_ms=deadline_ms)
+        with self._topo.shared:
+            hkey, bucket = self._locate(key)
+            value = self.replica.degraded_read(key, hkey, bucket,
+                                               deadline_ms=deadline_ms)
             if value is not None:
                 try:
-                    self.client_for(key).put(key, value,
-                                             deadline_ms=deadline_ms,
-                                             if_absent=True)
+                    self.clients[self.ring.node_map[bucket]].put(
+                        key, value, deadline_ms=deadline_ms, if_absent=True)
                 except (ProtocolError, OSError):
                     pass  # owner still down: the next consult serves it
             return value

@@ -104,6 +104,29 @@ class LiveQueryStats:
         return 1.0 - self.degraded_queries / self.queries
 
 
+class _BreakerOpen(Exception):
+    """The owner's circuit breaker refused a query (raised by
+    :class:`_BreakerGate` inside the cluster's routed ``get``)."""
+
+
+class _BreakerGate:
+    """One query's ``gate`` for :meth:`LiveClusterClient.get`: it keeps
+    the owner address the get resolved (under its topology hold, by its
+    one ring lookup) and refuses the request when that owner's breaker
+    is open.  Every outcome of the query is charged to that address."""
+
+    __slots__ = ("breaker", "address")
+
+    def __init__(self, breaker: CircuitBreaker) -> None:
+        self.breaker = breaker
+        self.address: tuple[str, int] | None = None
+
+    def __call__(self, address: tuple[str, int]) -> None:
+        self.address = address
+        if not self.breaker.allow(address):
+            raise _BreakerOpen(address)
+
+
 class LiveCoordinator:
     """Query front-end over a :class:`LiveClusterClient`.
 
@@ -221,39 +244,44 @@ class LiveCoordinator:
         background = priority == "background"
         if self.evictor is not None:
             self.evictor.record(key)
-        addr = self.cluster.address_for(key)
-        if not self.breaker.allow(addr):
+        route = _BreakerGate(self.breaker)
+        try:
+            cached = self.cluster.get(
+                key, deadline_ms=_remaining_ms(expires_at),
+                priority="background" if background else None, gate=route)
+        except _BreakerOpen:
             # Open breaker: fast-fail to the fallback without burning a
             # connect timeout against a shard we expect to be dead.
+            addr = route.address
             self.stats.breaker_fastfails += 1
             self._emit("breaker_fastfail", f"{addr[0]}:{addr[1]}")
             if background:
                 return self._drop_background()
             return self._query_degraded(key, addr, expires_at)
-        try:
-            cached = self.cluster.get(
-                key, deadline_ms=_remaining_ms(expires_at),
-                priority="background" if background else None)
         except OverloadedError:
             # Back-pressure from a *live* server: nothing is charged to
             # the detector or breaker — shedding is how the node asks
             # for elastic growth, not a symptom of death.
+            addr = route.address
             self.stats.overloaded += 1
             self._emit("shed", f"key {key} shed by {addr[0]}:{addr[1]}")
             if background:
                 return self._drop_background()
             return self._recompute(key, expires_at)
         except DeadlineError:
+            addr = route.address
             self.stats.deadline_misses += 1
             self._emit("deadline_miss", f"key {key} at {addr[0]}:{addr[1]}")
             if background:
                 return self._drop_background()
             return self._recompute(key, expires_at)
         except self.FAILURES:
+            addr = route.address
             self.breaker.record_failure(addr)
             if background:
                 return self._drop_background()
             return self._query_degraded(key, addr, expires_at)
+        addr = route.address
         self.breaker.record_success(addr)
         if cached is not None:
             self.stats.hits += 1

@@ -135,34 +135,34 @@ class ReplicaManager:
     def buddy_address(self, key: int):
         """Where ``key``'s replica lives under the current ring (or
         ``None`` on a single-owner ring)."""
-        ring = self.cluster.ring
-        bucket = ring.bucket_for_hkey(ring.hash_key(key))
-        return ring.successor_owner(bucket)
+        return self.cluster.ring.successor_owner(self.cluster._locate(key)[1])
 
-    def _holder(self, key: int, claimed: bool = True):
-        """The client holding ``key``'s replica: the claimed buddy of a
-        failed-over range (the failure-time holder, drained on restore;
-        skipped when ``claimed`` is false), else the live successor
-        owner's client.  ``None`` when that buddy is not connected (it
-        failed over; the next rebuild re-places the range), and
-        :data:`NOWHERE` on a single-owner ring."""
+    def _holder(self, hkey: int, bucket: int, claimed: bool = True):
+        """The client holding the replica of the key at ``hkey`` in
+        ``bucket`` (the caller's one ring lookup): the claimed buddy of
+        a failed-over range (the failure-time holder, drained on
+        restore; skipped when ``claimed`` is false), else the bucket's
+        live successor owner's client.  ``None`` when that buddy is not
+        connected (it failed over; the next rebuild re-places the
+        range), and :data:`NOWHERE` on a single-owner ring."""
         if claimed:
-            client = self._ranges.lookup(self.cluster.ring.hash_key(key))
+            client = self._ranges.lookup(hkey)
             if client is not None:
                 return client
-        addr = self.buddy_address(key)
+        addr = self.cluster.ring.successor_owner(bucket)
         if addr is None:
             return NOWHERE
         return self.cluster.clients.get(addr)
 
     # ---------------------------------------------------------- write path
 
-    def replicate(self, key: int, value: bytes,
+    def replicate(self, key: int, value: bytes, hkey: int, bucket: int,
                   deadline_ms: float | None = None,
                   priority: str | None = None) -> None:
-        """Mirror one acked primary write to its :meth:`_holder`.
-        Caller holds the key's lock."""
-        client = self._holder(key)
+        """Mirror one acked primary write to its :meth:`_holder`
+        (``hkey`` and ``bucket`` from the primary's routing).  Caller
+        holds the key's lock."""
+        client = self._holder(hkey, bucket)
         if client is None or client is NOWHERE:
             return
         try:
@@ -186,7 +186,7 @@ class ReplicaManager:
         groups: dict["LiveCacheClient", list] = {}
         ok: list[int] = []
         for key, value in items:
-            client = self._holder(key)
+            client = self._holder(*self.cluster._locate(key))
             if client is NOWHERE:
                 ok.append(key)  # nowhere to mirror ≡ mirrored
             elif client is not None:
@@ -196,11 +196,13 @@ class ReplicaManager:
             ok.extend(result.stored)
         return ok
 
-    def forget(self, key: int, deadline_ms: float | None = None) -> None:
-        """Best-effort replica delete (eviction path).  Caller holds the
-        key's lock.  A leaked copy only ever re-serves the key's last
-        written value — consistent, just not yet evicted."""
-        client = self._holder(key)
+    def forget(self, key: int, hkey: int, bucket: int,
+               deadline_ms: float | None = None) -> None:
+        """Best-effort replica delete (eviction path; ``hkey`` and
+        ``bucket`` from the primary's routing).  Caller holds the key's
+        lock.  A leaked copy only ever re-serves the key's last written
+        value — consistent, just not yet evicted."""
+        client = self._holder(hkey, bucket)
         if client is None or client is NOWHERE:
             return
         try:
@@ -210,15 +212,16 @@ class ReplicaManager:
 
     # ----------------------------------------------------------- read path
 
-    def read(self, key: int, deadline_ms: float | None = None,
+    def read(self, key: int, hkey: int, deadline_ms: float | None = None,
              priority: str | None = None) -> bytes | None:
-        """Consult the claimed buddy for a key in a failed-over range.
+        """Consult the claimed buddy for a key (at hash position
+        ``hkey``) in a failed-over range.
 
         Returns ``None`` when no claim covers the key or the buddy has
         no copy.  Errors propagate: the caller's read fails rather than
         reporting a miss it cannot prove.
         """
-        client = self._ranges.lookup(self.cluster.ring.hash_key(key))
+        client = self._ranges.lookup(hkey)
         if client is None:
             return None
         return client.get(key, deadline_ms=deadline_ms,
@@ -243,15 +246,17 @@ class ReplicaManager:
         found.update(self.cluster._fetch_many(by_src, deadline_ms, priority,
                                               replica=True))
 
-    def degraded_read(self, key: int,
+    def degraded_read(self, key: int, hkey: int, bucket: int,
                       deadline_ms: float | None = None) -> bytes | None:
-        """The coordinator's pre-recompute consult: the claimed buddy if
-        a failover already registered one, then the live buddy (the
+        """The coordinator's pre-recompute consult (``hkey`` and
+        ``bucket`` from the caller's routing): the claimed buddy if a
+        failover already registered one, then the live buddy (the
         primary may be unreachable before the detector has failed it
         over).  Swallows errors on each — the caller's fallback is a
         recompute, which is always safe."""
-        for client in dict.fromkeys((self._holder(key),
-                                     self._holder(key, claimed=False))):
+        for client in dict.fromkeys((self._holder(hkey, bucket),
+                                     self._holder(hkey, bucket,
+                                                  claimed=False))):
             if client is None or client is NOWHERE:
                 continue
             try:

@@ -2,10 +2,12 @@
 
 A cache server process (a perfbench server child, a spare booted for
 growth, ``python -m repro serve``) imports ``repro.live.server`` and
-must not pay for the simulator, the cloud model, NumPy or SciPy.  The
-package ``__init__`` files re-export their names lazily (PEP 562), so
-these checks pin *which* modules load in a fresh interpreter; a timing
-bound would be flaky on a shared host.
+must not pay for the simulator, the cloud model, NumPy or SciPy.  Nor
+must a live client process (a load generator, ``repro check``), which
+needs only the ring, the retry policy and the breaker.  The package
+``__init__`` files re-export their names lazily (PEP 562), so these
+checks pin *which* modules load in a fresh interpreter; a timing bound
+would be flaky on a shared host.
 """
 
 import json
@@ -17,12 +19,27 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.core
+import repro.faults
 import repro.live
 
 #: never loaded by a process that only serves the cache
 SIMULATOR_MODULES = ("numpy", "scipy", "repro.core", "repro.sim",
                      "repro.cloud", "repro.faults", "repro.services",
                      "repro.experiments", "repro.check")
+
+
+#: never loaded by a live client: it routes with ``repro.core.ring`` and
+#: retries with ``repro.faults.retry``, nothing else of either package
+CLIENT_FORBIDDEN = ("numpy", "scipy", "repro.sim", "repro.cloud",
+                    "repro.services", "repro.experiments", "repro.check",
+                    "repro.core.cachenode", "repro.core.elastic",
+                    "repro.core.gba", "repro.core.coordinator",
+                    "repro.core.metrics", "repro.faults.driver",
+                    "repro.faults.plan", "repro.faults.proxy",
+                    "repro.faults.simfaults")
+
+LAZY_PACKAGES = [repro, repro.core, repro.faults, repro.live]
 
 
 def _env() -> dict:
@@ -47,6 +64,20 @@ def _loaded_after(code: str, watch=SIMULATOR_MODULES) -> list[str]:
 
 def test_server_import_loads_no_simulator():
     assert _loaded_after("import repro.live.server") == []
+
+
+@pytest.mark.parametrize("module", ["repro.live.client",
+                                    "repro.live.coordinator"])
+def test_client_import_loads_no_simulator(module):
+    assert _loaded_after(f"import {module}", watch=CLIENT_FORBIDDEN) == []
+
+
+def test_ring_hash_needs_no_numpy():
+    assert _loaded_after("from repro.core.ring import ConsistentHashRing\n"
+                         "from repro.hashing import stable_key_hash\n"
+                         "r = ConsistentHashRing(8, hash_mode='splitmix')\n"
+                         "assert r.hash_key(3) == stable_key_hash(3)",
+                         watch=("numpy",)) == []
 
 
 def test_submodule_import_through_lazy_package():
@@ -76,7 +107,7 @@ def test_simulator_harness_does_not_load_scipy():
                          watch=("scipy",)) == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.live],
+@pytest.mark.parametrize("package", LAZY_PACKAGES,
                          ids=lambda p: p.__name__)
 def test_every_export_resolves_to_its_defining_object(package):
     listed = dir(package)
@@ -85,11 +116,13 @@ def test_every_export_resolves_to_its_defining_object(package):
         obj = getattr(package, name)
         if name == "__version__":
             continue
-        assert obj.__module__.startswith(package.__name__ + ".")
-        assert obj is getattr(sys.modules[obj.__module__], name)
+        assert obj is getattr(sys.modules[package._EXPORTS[name]], name)
+        if isinstance(obj, type) or callable(obj):
+            assert obj.__module__.startswith(package.__name__ + ".")
+            assert obj is getattr(sys.modules[obj.__module__], name)
 
 
-@pytest.mark.parametrize("package", [repro, repro.live],
+@pytest.mark.parametrize("package", LAZY_PACKAGES,
                          ids=lambda p: p.__name__)
 def test_unknown_attribute_raises(package):
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -97,7 +130,7 @@ def test_unknown_attribute_raises(package):
 
 
 def test_star_import_binds_every_export():
-    for package in (repro, repro.live):
+    for package in LAZY_PACKAGES:
         namespace: dict = {}
         exec(f"from {package.__name__} import *", namespace)
         assert set(package.__all__) <= set(namespace)
