@@ -15,8 +15,7 @@ spikes become visible in per-step latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from repro.cloud.network import NetworkModel
 from repro.core.config import ExperimentTimings
@@ -46,9 +45,12 @@ class ServiceProtocol(Protocol):
     def execute(self, key: int): ...
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """One completed query, as seen by the caller."""
+class QueryOutcome(NamedTuple):
+    """One completed query, as seen by the caller.
+
+    Immutable (assignment raises ``AttributeError``) and, unlike a frozen
+    dataclass, built by a single ``tuple.__new__`` — one per query.
+    """
 
     key: int
     hit: bool
@@ -101,9 +103,7 @@ class Coordinator:
                 self.timings.hit_overhead_s
                 + self.network.rpc_time(reply_bytes=record.nbytes)
             )
-            outcome = QueryOutcome(key=key, hit=True,
-                                   latency_s=self.clock.now - t0,
-                                   value=record.value)
+            hit, value = True, record.value
         else:
             # Miss: failed lookup, then the actual service execution, then
             # caching the derived result (which may split / allocate).
@@ -115,12 +115,11 @@ class Coordinator:
             )
             for event in splits:
                 self.metrics.record_split(event.allocated)
-            outcome = QueryOutcome(key=key, hit=False,
-                                   latency_s=self.clock.now - t0,
-                                   value=result)
+            hit, value = False, result
 
-        self.metrics.record_query(hit=outcome.hit, latency_s=outcome.latency_s)
-        return outcome
+        latency_s = self.clock.now - t0
+        self.metrics.record_query(hit=hit, latency_s=latency_s)
+        return QueryOutcome(key, hit, latency_s, value)
 
     def end_step(self, *, cost_usd: float | None = None) -> None:
         """Close one workload time step: slice expiry, metrics snapshot."""

@@ -161,13 +161,17 @@ class ElasticCooperativeCache:
 
     def evict_keys(self, keys) -> int:
         """Delete the given keys wherever they are cached; returns count
-        actually removed (keys already gone are skipped silently)."""
+        actually removed (keys already gone, or repeated, are skipped
+        silently).  Routed in hash order, one ring lookup per run of
+        keys on one bucket (:meth:`ConsistentHashRing.runs`)."""
+        ring = self.ring
+        hkeys = sorted(ring.hash_keys(keys))
         removed = 0
-        for key in keys:
-            hkey = self.ring.hash_key(key)
-            node: CacheNode = self.ring.node_for_hkey(hkey)
-            if node.pop(hkey) is not None:
-                removed += 1
+        for bucket, start, end in ring.runs(hkeys):
+            pop = ring.node_map[bucket].pop
+            for i in range(start, end):
+                if pop(hkeys[i]) is not None:
+                    removed += 1
         return removed
 
     # ------------------------------------------------------- stream hooks

@@ -58,7 +58,9 @@ class MetricsRecorder:
 
     Usage: call :meth:`record_query` per query and the other ``record_*``
     hooks as events occur; call :meth:`end_step` once per time step with a
-    state snapshot.  Series are materialized lazily.
+    state snapshot.  Series are materialized lazily, and the run-wide
+    ``total_*`` figures are summed from the steps when read, so the
+    per-query hook updates one :class:`StepStats` and nothing else.
 
     This is the paper's per-step model only; the live cluster's failure
     and overload counters live in
@@ -66,7 +68,7 @@ class MetricsRecorder:
 
     Thread safety: a recorder may be shared by a driver that runs
     queries on several threads, so every hook and every snapshot takes
-    one internal lock.  Without it, two threads racing ``_current()``
+    one internal lock.  Without it, two threads racing to open a step
     can each create a StepStats and orphan one, ``+=`` loses increments,
     and ``summary()`` can observe ``hits + misses != queries``
     mid-update.
@@ -76,11 +78,6 @@ class MetricsRecorder:
         self._lock = threading.RLock()  # reentrant: summary() -> series()
         self.steps: list[StepStats] = []
         self._open: StepStats | None = None
-        self.total_queries = 0
-        self.total_hits = 0
-        self.total_misses = 0
-        self.total_evictions = 0
-        self.total_latency_s = 0.0
         #: per-query latency log (enabled with ``keep_latencies=True``);
         #: needed for tail percentiles, which step means wash out.
         self.keep_latencies = keep_latencies
@@ -94,19 +91,18 @@ class MetricsRecorder:
         return self._open
 
     def record_query(self, *, hit: bool, latency_s: float) -> None:
-        """Account one completed query."""
+        """Account one completed query (the per-query hook: one lock,
+        one branch on ``hit``, no run-wide totals to keep in step)."""
         with self._lock:
-            s = self._current()
+            s = self._open
+            if s is None:
+                s = self._open = StepStats(step=len(self.steps))
             s.queries += 1
             s.latency_sum_s += latency_s
             if hit:
                 s.hits += 1
             else:
                 s.misses += 1
-            self.total_queries += 1
-            self.total_hits += int(hit)
-            self.total_misses += int(not hit)
-            self.total_latency_s += latency_s
             if self.keep_latencies:
                 self._latencies.append(latency_s)
 
@@ -116,7 +112,6 @@ class MetricsRecorder:
             s = self._current()
             s.evictions += evicted
             s.eviction_candidates += candidates
-            self.total_evictions += evicted
 
     def record_split(self, allocated: bool) -> None:
         """Account one GBA split (and its allocation, if any)."""
@@ -214,12 +209,43 @@ class MetricsRecorder:
 
     # ----------------------------------------------------------- summary
 
+    def _total(self, name: str):
+        """``name`` summed over every closed step and the open one."""
+        with self._lock:
+            total = sum(getattr(s, name) for s in self.steps)
+            return total + getattr(self._open, name) if self._open else total
+
+    @property
+    def total_queries(self) -> int:
+        """Queries so far, open step included."""
+        return self._total("queries")
+
+    @property
+    def total_hits(self) -> int:
+        """Hits so far, open step included."""
+        return self._total("hits")
+
+    @property
+    def total_misses(self) -> int:
+        """Misses so far, open step included."""
+        return self._total("misses")
+
+    @property
+    def total_evictions(self) -> int:
+        """Evicted records so far, open step included."""
+        return self._total("evictions")
+
+    @property
+    def total_latency_s(self) -> float:
+        """Summed query latency so far, open step included."""
+        return self._total("latency_sum_s")
+
     @property
     def overall_hit_rate(self) -> float:
         """Hits over all queries so far."""
         with self._lock:
-            return (self.total_hits / self.total_queries
-                    if self.total_queries else 0.0)
+            queries = self.total_queries
+            return self.total_hits / queries if queries else 0.0
 
     def mean_node_count(self) -> float:
         """Average node allocation over the experiment's lifespan."""

@@ -25,7 +25,7 @@ tested.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import TYPE_CHECKING
 
 from repro.hashing import stable_key_hash
@@ -113,6 +113,24 @@ class ConsistentHashRing:
         if idx == len(self.buckets):  # h'(k) > b_p: wrap to b_1
             return self.buckets[0]
         return self.buckets[idx]
+
+    def runs(self, hkeys):
+        """Route sorted positions ``hkeys`` in one pass, one lookup per run.
+
+        Yields ``(bucket, start, end)``: every position in
+        ``hkeys[start:end]`` routes to ``bucket``, and the runs tile the
+        list in order.  The smallest unrouted position finds its bucket
+        (:meth:`bucket_for_hkey`); every position up to that bucket is
+        the bucket's (a bisect), or — when it wrapped, i.e. the position
+        lies above the last bucket — every position left is.
+        """
+        start, n = 0, len(hkeys)
+        while start < n:
+            hkey = hkeys[start]
+            bucket = self.bucket_for_hkey(hkey)
+            end = n if bucket < hkey else bisect_right(hkeys, bucket, start)
+            yield bucket, start, end
+            start = end
 
     def node_for_key(self, key: int):
         """Resolve a key to its responsible cache node."""

@@ -33,7 +33,6 @@ import random
 import socket
 import threading
 import time
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -899,25 +898,17 @@ class LiveClusterClient:
         each owner's entries in input order.  ``keys`` are the entries'
         keys (default: the entries themselves).
 
-        One pass in hash order, one ring lookup per *run*: the smallest
-        unrouted position finds its bucket (``bucket_for_hkey``), and
-        every position up to that bucket — or, past the last bucket,
-        every one left — is the bucket's (a bisect).
+        One pass in hash order, one ring lookup per run of positions on
+        one bucket (:meth:`ConsistentHashRing.runs`).
         """
         ring = self.ring
         hkeys = ring.hash_keys(entries if keys is None else keys)
         order = sorted(range(len(hkeys)), key=hkeys.__getitem__)
         ordered = [hkeys[i] for i in order]
         runs: dict[LiveCacheClient, list[int]] = {}
-        start = 0
-        while start < len(ordered):
-            hkey = ordered[start]
-            bucket = ring.bucket_for_hkey(hkey)
-            end = (len(ordered) if bucket < hkey
-                   else bisect_right(ordered, bucket, start))
+        for bucket, start, end in ring.runs(ordered):
             runs.setdefault(self.clients[ring.node_map[bucket]],
                             []).extend(order[start:end])
-            start = end
         if len(runs) == 1:
             return {client: list(entries) for client in runs}
         return {client: [entries[i] for i in sorted(indices)]

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.sim.clock import SimClock
 
 
-@dataclass(frozen=True)
-class ServiceResult:
-    """A derived result as handed to the cache.
+class ServiceResult(NamedTuple):
+    """A derived result as handed to the cache (immutable: assignment
+    raises ``AttributeError``; a named tuple, so a miss builds it with
+    one ``tuple.__new__``).
 
     Attributes
     ----------
@@ -76,8 +77,7 @@ class Service(abc.ABC):
         payload, nbytes = self.compute(key)
         self.clock.advance(exec_time)
         self.invocations += 1
-        return ServiceResult(key=key, payload=payload, nbytes=nbytes,
-                             exec_time_s=exec_time)
+        return ServiceResult(key, payload, nbytes, exec_time)
 
 
 class SyntheticService(Service):

@@ -52,10 +52,12 @@ class SimClock:
         Raises
         ------
         ClockError
-            If ``seconds`` is negative (time never flows backwards).
+            If ``seconds`` is negative (time never flows backwards) or
+            NaN (which would poison ``now`` and every later latency).
         """
-        if seconds < 0:
-            raise ClockError(f"cannot advance clock by negative time {seconds!r}")
+        if not seconds >= 0:  # also refuses NaN, which compares False
+            raise ClockError(f"cannot advance clock by {seconds!r}: time "
+                             "must be a non-negative number")
         self.now += seconds
         for watcher in self._watchers:
             watcher(self.now)

@@ -48,6 +48,17 @@ class TestQueryPath:
         second = coord.query(9)
         assert second.value.payload == first.value.payload
 
+    def test_outcome_and_result_are_immutable(self, system):
+        coord, _, _ = system
+        miss = coord.query(5)
+        hit = coord.query(5)
+        for outcome in (miss, hit):
+            with pytest.raises(AttributeError):
+                outcome.hit = not outcome.hit
+        with pytest.raises(AttributeError):
+            hit.value.nbytes = 1
+        assert hit.value is miss.value  # the cached ServiceResult itself
+
     def test_metrics_accumulate(self, system):
         coord, _, _ = system
         for k in (1, 1, 2, 3, 3, 3):

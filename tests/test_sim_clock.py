@@ -28,6 +28,12 @@ class TestAdvance:
         with pytest.raises(ClockError):
             SimClock().advance(-1.0)
 
+    def test_nan_advance_rejected(self):
+        clock = SimClock(now=5.0)
+        with pytest.raises(ClockError):
+            clock.advance(float("nan"))
+        assert clock.now == 5.0  # not poisoned
+
 
 class TestAdvanceTo:
     def test_moves_forward(self):
