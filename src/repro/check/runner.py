@@ -5,9 +5,13 @@ cluster (in-process :class:`~repro.live.server.LiveCacheServer`
 threads, real sockets), unleash concurrent recorded workloads, let a
 :class:`~repro.check.nemesis.ClusterNemesis` force splits, merges,
 failovers and overload sheds mid-history, then hand the recorded
-history to the per-key linearizability checker.  Everything derives
-from one seed, so a failing run is a *repro*, not an anecdote —
-``repro check --seed N`` replays it.
+history to the per-key linearizability checker.  The seed fixes the
+workload (each client's op mix, keys and think times) and the nemesis
+schedule (which fault lands at which completed-op count).  It does not
+fix the thread interleaving: scheduling and wall-clock time still decide
+which ops overlap, so ``repro check --seed N`` reruns the same
+experiment, not the same history.  A failing seed is a strong lead, not
+a guaranteed replay.
 
 The nemesis timeline is the history's completed-op count, so schedule
 shapes hold across workload sizes.  ``kill`` events are applied
@@ -40,7 +44,8 @@ CHECK_RETRY = RetryPolicy(max_attempts=2, deadline_s=1.0,
 
 @dataclass
 class CheckConfig:
-    """One seeded consistency experiment, fully reproducible."""
+    """One seeded consistency experiment (see the module docstring for
+    what the seed fixes)."""
 
     seed: int = 0
     clients: int = 3          #: concurrent workload processes
@@ -229,11 +234,11 @@ def _wire_nemesis(config: CheckConfig, cluster: LiveClusterClient,
         if active:
             fleet._gate_saved[slot] = server.gate.max_queue
             server.gate.max_queue = 0           # shed anything that waits
-            server._server.op_delay_s = 0.002   # make workers saturate
+            server.node.op_delay_s = 0.002      # make workers saturate
             history.note(f"overload node {slot} on")
         else:
             server.gate.max_queue = fleet._gate_saved.pop(slot, 32)
-            server._server.op_delay_s = 0.0
+            server.node.op_delay_s = 0.0
             history.note(f"overload node {slot} off")
 
     total = config.clients * config.ops_per_client

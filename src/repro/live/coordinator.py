@@ -9,8 +9,9 @@ its interval midpoint, migrate the lower half over TCP).
 
 A sliding window (the same
 :class:`~repro.core.sliding_window.SlidingWindowEvictor`) drives eviction
-over the wire at slice boundaries, so the elastic *and* contracting
-behaviour of the paper runs against real sockets end to end.
+over the wire at slice boundaries.  The cluster grows against real
+sockets end to end, but it never contracts: the live coordinator has no
+merge step yet, so the paper's contraction runs only in the simulator.
 
 Failure hardening
 -----------------
@@ -50,7 +51,6 @@ Every outcome above is counted once, in the coordinator's
 from __future__ import annotations
 
 import socket
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -201,7 +201,6 @@ class LiveCoordinator:
         self.on_event = on_event
         self.stats = LiveQueryStats()
         self.spawned: list[LiveCacheServer] = []
-        self._down_since: dict[tuple[str, int], float] = {}
 
     def _emit(self, event: str, detail: str) -> None:
         """Notify the lifecycle observer; never let it hurt the query."""
@@ -408,7 +407,6 @@ class LiveCoordinator:
             # (every query recomputes) until it comes back.
             return False
         self.stats.failovers += 1
-        self._down_since[addr] = time.perf_counter()
         self._emit("failover", f"{addr[0]}:{addr[1]} condemned, ring repaired")
         return True
 
@@ -455,13 +453,10 @@ class LiveCoordinator:
             moved = self.cluster.restore_server(addr)
             self._emit("recovery", f"{addr[0]}:{addr[1]} re-admitted, "
                                    f"{moved} records home")
-            self.detector.mark_recovered(addr)
+            self.stats.downtime_s += self.detector.mark_recovered(addr)
             self.breaker.record_success(addr)  # close any open breaker
             self.stats.recoveries += 1
             self.stats.recovered_records += moved
-            if addr in self._down_since:
-                self.stats.downtime_s += (time.perf_counter()
-                                          - self._down_since.pop(addr))
             recovered.append(addr)
         return recovered
 

@@ -5,46 +5,40 @@ B+-tree-indexed in-memory store ("in our implementation, the cache server
 is automatically fetched from a remote location on the startup of a new
 Cloud instance" — here it is a Python object you start on a port).
 
-Concurrency and overload
-------------------------
-A ``ThreadingTCPServer`` accepts many clients.  Each namespace is one
-:class:`~repro.btree.store.NodeStore` — the class each simulated node
-uses — under one lock: its ``dict`` point index serves get, put, delete
-and the multi-ops (a batch takes the lock once), and its B+-tree over
-the same keys, rebuilt by the first range op after a write, is the
-ordered index the range ops sweep.  Range ops (sweep/extract family)
-snapshot *under* the lock but stream the records onto the socket
-*after* releasing it — a slow migration reader cannot stall the
-user-facing ops on the node.  Connection threads are
-cheap (they block on ``recv``), but *work* is not: every op (a batch
-counts once) passes an :class:`AdmissionGate`
-that bounds concurrent execution (``max_workers``) and the number of ops
-allowed to wait for a slot (``max_queue``).  Beyond that the server
-**sheds**: a fast ``OVERLOADED`` reply carrying a retry-after hint
-instead of unbounded queueing — the elastic
-answer to a demand burst is to grow the cluster, not to melt one node.
-Background-priority traffic is shed first (at half queue depth), and a
-request whose deadline expires while queued is answered ``DEADLINE``
-rather than executed late.  Each connection also
-carries a socket timeout, so a half-open or stalled peer cannot pin a
-handler thread forever.
+One request step
+----------------
+:class:`_Node` is the node without a socket: ``handle(frame, arrival)``
+admits, runs and answers one request and returns its reply frames.  The
+TCP handler (a thread per connection, with an idle timeout) only reads
+a frame, calls the node and writes what it returns.
 
-Migration safety: the ``extract_prepare``/``extract_commit``/
-``extract_abort`` family (backed by a
-:class:`~repro.live.migration.TransferLedger`) replaces destructive
-extraction for cluster migrations — see :mod:`repro.live.migration`.
+Each namespace is one :class:`~repro.btree.store.NodeStore` — the class
+each simulated node uses — under one lock: its ``dict`` point index
+serves the point and multi-ops (a batch takes the lock once), and its
+B+-tree, rebuilt by the first range op after a write, is what the range
+ops sweep.  A range op snapshots *under* the lock and its records are
+written *after* the release, so a slow reader cannot stall the node.
+The ``extract_prepare``/``extract_commit``/``extract_abort`` family
+(see :mod:`repro.live.migration`) makes range moves loss-proof.
+
+Overload: every op (a batch counts once) passes an
+:class:`AdmissionGate` that bounds concurrent execution
+(``max_workers``) and the ops allowed to wait for a slot
+(``max_queue``).  Beyond that the node **sheds**: a fast ``OVERLOADED``
+reply with a retry-after hint instead of unbounded queueing — the
+elastic answer to a demand burst is to grow the cluster, not to melt
+one node.  Background traffic is shed first (at half queue depth), and
+a request whose deadline expires while queued is answered ``DEADLINE``
+rather than run late.
 
 Replica namespace
 -----------------
-Every server additionally hosts a **replica namespace**: a second,
-independently-accounted :class:`_Store` holding buddy copies of *other*
-nodes' ranges (see :mod:`repro.live.replica`).  Any wire op carrying the
-``REPLICA`` header flag is routed to it, so replication reuses
-the entire batched wire path — puts, multi ops, sweeps, and the
-two-phase extract family all work against either namespace.  Replica
-capacity is ``capacity_bytes * replica_headroom`` and sits *outside*
-primary capacity accounting: holding a buddy's copies can never cause a
-node's own primaries to overflow.
+Every server also hosts a second, independently-accounted
+:class:`_Store` holding buddy copies of *other* nodes' ranges (see
+:mod:`repro.live.replica`).  Any op carrying the ``REPLICA`` header
+flag runs against it, so replication reuses the whole wire path.  Its
+capacity is ``capacity_bytes * replica_headroom``, outside primary
+accounting: a buddy's copies can never overflow a node's own primaries.
 """
 
 from __future__ import annotations
@@ -52,9 +46,9 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import sys
 import threading
 import time
-from typing import Callable
 
 from repro.btree.store import NodeStore
 from repro.live.migration import TransferLedger
@@ -93,8 +87,9 @@ class AdmissionGate:
         self.max_workers = max_workers
         self.max_queue = max_queue
         self.retry_after_ms = retry_after_ms
-        self._slots = threading.Semaphore(max_workers)
         self._lock = threading.Lock()
+        #: signalled when a slot frees while ops wait for one
+        self._freed = threading.Condition(self._lock)
         self.active = 0
         self.waiting = 0
         self.peak_queue_depth = 0
@@ -111,44 +106,37 @@ class AdmissionGate:
         ``"deadline"`` (budget expired while queued).  An admitted
         caller **must** call :meth:`release`.
         """
-        if self._slots.acquire(blocking=False):
-            self._note_admitted()
-            return "admitted"
         with self._lock:
-            if self.waiting >= self.max_queue:
-                self.shed_overload += 1
-                return "overloaded"
-            if priority == "background" and self.waiting * 2 >= self.max_queue:
-                self.shed_background += 1
-                return "overloaded"
-            self.waiting += 1
-            self.peak_queue_depth = max(self.peak_queue_depth, self.waiting)
-        try:
-            while True:
-                timeout = None
-                if expires_at is not None:
-                    timeout = expires_at - time.monotonic()
-                    if timeout <= 0:
-                        with self._lock:
-                            self.deadline_misses += 1
-                        return "deadline"
-                if self._slots.acquire(timeout=timeout):
-                    self._note_admitted()
-                    return "admitted"
-        finally:
-            with self._lock:
-                self.waiting -= 1
-
-    def _note_admitted(self) -> None:
-        with self._lock:
+            if self.active >= self.max_workers:
+                if self.waiting >= self.max_queue:
+                    self.shed_overload += 1
+                    return "overloaded"
+                if priority == "background" and self.waiting * 2 >= self.max_queue:
+                    self.shed_background += 1
+                    return "overloaded"
+                self.waiting += 1
+                self.peak_queue_depth = max(self.peak_queue_depth, self.waiting)
+                try:
+                    while self.active >= self.max_workers:
+                        timeout = None
+                        if expires_at is not None:
+                            timeout = expires_at - time.monotonic()
+                            if timeout <= 0:
+                                self.deadline_misses += 1
+                                return "deadline"
+                        self._freed.wait(timeout)
+                finally:
+                    self.waiting -= 1
             self.active += 1
             self.peak_active = max(self.peak_active, self.active)
+            return "admitted"
 
     def release(self) -> None:
         """Return an execution slot."""
         with self._lock:
             self.active -= 1
-        self._slots.release()
+            if self.waiting:
+                self._freed.notify()
 
     def snapshot(self) -> dict:
         """Counter snapshot for ``stats`` replies."""
@@ -267,14 +255,15 @@ class _Store:
             self.lock.release()
 
     def multi_put(self, records: list[tuple[int, bytes]],
-                  expired: "Callable[[], bool] | None" = None,
+                  expires_at: float | None = None,
                   if_absent: bool = False
                   ) -> tuple[list[int], dict[int, int], list[int], str | None]:
         """Batched store under one lock acquisition.
 
         Returns ``(stored_keys, freed_by_key, skipped_keys, error)``
         where ``error`` is ``None``, ``"overflow"`` or
-        ``"deadline_exceeded"``.  Records already applied when an error
+        ``"deadline_exceeded"`` (``expires_at`` had passed before the
+        lock was taken).  Records already applied when an error
         aborts the batch stay applied (and are listed in
         ``stored_keys``) — the reply tells the client which suffix to
         retry.  With ``if_absent`` a key already present is left
@@ -284,7 +273,7 @@ class _Store:
         stored: list[int] = []
         freed_by_key: dict[int, int] = {}
         skipped: list[int] = []
-        if expired is not None and expired():
+        if expires_at is not None and time.monotonic() >= expires_at:
             return stored, freed_by_key, skipped, "deadline_exceeded"
         store = self.records
         self._acquire()
@@ -325,9 +314,17 @@ class _Store:
             self.lock.release()
 
     def counters_snapshot(self) -> dict:
-        """Stats counters, read together under the lock."""
+        """The namespace's ``stats`` counters: its capacity and transfer
+        ledger's counts, then the counters read together under the lock."""
+        transfers = self.transfers
+        snapshot = {
+            "capacity_bytes": self.records.capacity_bytes,
+            "transfers_pending": transfers.pending,
+            "transfers_committed": transfers.committed,
+            "transfers_expired": transfers.expired,
+        }
         with self.lock:
-            return {
+            return snapshot | {
                 "hits": self.hits,
                 "misses": self.misses,
                 "stripe_contention": self.contended,
@@ -339,148 +336,111 @@ class _Store:
             }
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    """One connection; serves frames until the peer disconnects."""
+def _unpack_batch(frame: Frame) -> list:
+    """A multi-op's keys or ``(key, value)`` records (its size limits
+    were checked from the header); a body that disagrees with its own
+    index raises :class:`FrameError`."""
+    if frame.code == MULTI_GET:
+        return list(unpack_keys(frame))
+    batch = unpack_records(frame)
+    if any(value is None for _, value in batch):
+        raise FrameError("multi_put record without a value")
+    return batch
 
-    def setup(self) -> None:  # noqa: D102 - socketserver hook
-        server = self.server
-        server.connections.add(self.request)  # type: ignore[attr-defined]
-        enable_nodelay(self.request)
-        # Buffered reads: all frames for this session come through one
-        # reader, so back-to-back requests cost one recv between them.
-        self.reader = FrameReader(self.request)
-        # A stalled or half-open peer surfaces as a timeout inside
-        # recv_frame (→ ProtocolError → session end) instead of pinning
-        # this thread forever.
-        if server.idle_timeout_s is not None:  # type: ignore[attr-defined]
-            self.request.settimeout(server.idle_timeout_s)  # type: ignore[attr-defined]
 
-    def finish(self) -> None:  # noqa: D102 - socketserver hook
-        self.server.connections.discard(self.request)  # type: ignore[attr-defined]
+def _record_frames(head: list, records: list) -> list[Frame]:
+    """``head`` frames, then ``records`` as ``RECORDS`` chunks (see
+    :func:`~repro.live.protocol.split_records`).  Without ``head`` (a
+    ``multi_get`` reply) there is at least one chunk, even for no
+    records."""
+    frames = head + [Frame(RECORDS, n=len(chunk), body=pack_records(chunk))
+                     for chunk in split_records(records)]
+    return frames or [Frame(RECORDS)]
 
-    def handle(self) -> None:  # noqa: D102 - socketserver hook
-        store: _Store = self.server.store  # type: ignore[attr-defined]
-        gate: AdmissionGate = self.server.gate  # type: ignore[attr-defined]
-        while True:
-            try:
-                frame = self.reader.recv_frame()
-                self._admit_and_dispatch(store, gate, frame,
-                                         time.monotonic())
-            except FrameError as exc:
-                # A v2 header or batch we refuse: say why, then end the
-                # session — the rest of the stream cannot be trusted.
-                send_frame(self.request, error_frame(str(exc)))
-                return
-            except ProtocolError:
-                return  # disconnect, garbage, or idle timeout ends the session
-            except Exception as exc:  # report, keep serving
-                send_frame(self.request, error_frame(str(exc)))
 
-    # --------------------------------------------------------- admission
+class _Node:
+    """One cache node's request → reply step, with no socket: both
+    namespaces, the admission gate, and ``op_delay_s``, a synthetic
+    per-op service time slept while holding a worker slot (settable
+    while the node serves)."""
 
-    def _admit_and_dispatch(self, store: _Store, gate: AdmissionGate,
-                            frame: Frame, arrival: float) -> None:
+    def __init__(self, capacity_bytes: int, order: int, max_workers: int,
+                 max_queue: int, lease_s: float, op_delay_s: float,
+                 replica_headroom: float) -> None:
+        self.store = _Store(capacity_bytes, order, lease_s=lease_s)
+        self.replica_store = _Store(
+            max(1, int(capacity_bytes * replica_headroom)), order,
+            lease_s=lease_s)
+        self.gate = AdmissionGate(max_workers=max_workers,
+                                  max_queue=max_queue)
+        self.op_delay_s = op_delay_s
+
+    def handle(self, frame: Frame, arrival: float) -> list[Frame]:
+        """The replies to one request that arrived at ``arrival``
+        (``time.monotonic``).  Raises :class:`FrameError` for a batch
+        body the stream cannot be trusted after, and ``ValueError`` for
+        a malformed range or token body."""
         op = frame.code
         if op not in _OPS:
-            send_frame(self.request, error_frame(f"unknown op {op:#04x}"))
-            return
+            return [error_frame(f"unknown op {op:#04x}")]
         if frame.flags & ~REQUEST_FLAGS:
-            send_frame(self.request, error_frame(
-                f"unknown flag bits {frame.flags & ~REQUEST_FLAGS:#04x}"))
-            return
-        if op in (PING, STATS):
+            return [error_frame(
+                f"unknown flag bits {frame.flags & ~REQUEST_FLAGS:#04x}")]
+        if op == PING or op == STATS:
             # Diagnostics bypass admission: health probes must keep
             # answering while the node sheds real work (overloaded is
             # not dead — the breaker and the detector treat them
             # differently).
-            self._dispatch(store, frame, expires_at=None)
-            return
+            return self._dispatch(frame, None, None)
         batch = None
         if op == MULTI_GET or op == MULTI_PUT:
             # Unpack (and so validate) the batch *before* admission: a
             # malformed one is refused whatever the load.
-            batch = self._unpack_batch(frame)
+            batch = _unpack_batch(frame)
         expires_at = arrival + frame.ms / 1000.0 if frame.ms else None
-        priority = "background" if frame.flags & BACKGROUND else "user"
-        verdict = gate.try_admit(priority=priority, expires_at=expires_at)
+        gate = self.gate
+        verdict = gate.try_admit(
+            priority="background" if frame.flags & BACKGROUND else "user",
+            expires_at=expires_at)
         if verdict == "overloaded":
-            send_frame(self.request, Frame(OVERLOADED,
-                                           ms=gate.retry_after_ms))
-            return
+            return [Frame(OVERLOADED, ms=gate.retry_after_ms)]
         if verdict == "deadline":
-            send_frame(self.request, Frame(DEADLINE))
-            return
+            return [Frame(DEADLINE)]
         try:
-            delay = self.server.op_delay_s  # type: ignore[attr-defined]
-            if delay:  # synthetic service time for overload benches
-                time.sleep(delay)
-            self._dispatch(store, frame, expires_at=expires_at,
-                           batch=batch)
+            if self.op_delay_s:  # synthetic service time for overload benches
+                time.sleep(self.op_delay_s)
+            return self._dispatch(frame, expires_at, batch)
         finally:
             gate.release()
 
-    def _unpack_batch(self, frame: Frame) -> list:
-        """A multi-op's keys or ``(key, value)`` records.
-
-        Its size limits were checked from the header before the body was
-        read; a body that disagrees with its own index raises
-        :class:`FrameError` (error reply, then the session ends).
-        """
-        if frame.code == MULTI_GET:
-            return list(unpack_keys(frame))
-        batch = unpack_records(frame)
-        if any(value is None for _, value in batch):
-            raise FrameError("multi_put record without a value")
-        return batch
-
-    @staticmethod
-    def _expired(expires_at: float | None) -> bool:
-        """Deadline check at the store-lock boundary: work the caller
-        has given up on is dropped *before* it holds up the lock."""
-        return expires_at is not None and time.monotonic() >= expires_at
-
-    # ---------------------------------------------------------- dispatch
-
-    def _send_records(self, head: list, records: list) -> None:
-        """``head`` frames, then ``records`` as ``RECORDS`` chunks (see
-        :func:`~repro.live.protocol.split_records`) — one coalesced
-        write for a typical batch.  Without ``head`` (a ``multi_get``
-        reply) at least one chunk goes out, even for no records."""
-        frames = head + [Frame(RECORDS, n=len(chunk),
-                               body=pack_records(chunk))
-                         for chunk in split_records(records)]
-        send_frames(self.request, frames or [Frame(RECORDS)])
-
-    def _dispatch(self, store: _Store, frame: Frame,
-                  expires_at: float | None, batch: list | None = None) -> None:
+    def _dispatch(self, frame: Frame, expires_at: float | None,
+                  batch: list | None) -> list[Frame]:
         op, key, body = frame.code, frame.key, frame.body
-        sock = self.request
-        if frame.flags & REPLICA:
-            # Replica-flagged frames operate on the buddy-copy namespace:
-            # same ops, separate trees, separate capacity accounting.
-            store = self.server.replica_store  # type: ignore[attr-defined]
-        if self._expired(expires_at):
-            send_frame(sock, Frame(DEADLINE))
-            return
+        # Replica-flagged frames operate on the buddy-copy namespace:
+        # same ops, separate trees, separate capacity accounting.
+        store = self.replica_store if frame.flags & REPLICA else self.store
+        if expires_at is not None and time.monotonic() >= expires_at:
+            # Deadline check at the store-lock boundary: work the caller
+            # has given up on is dropped before it holds up the lock.
+            return [Frame(DEADLINE)]
         if op == GET:
             value = store.get(key)
-            send_frame(sock, Frame(OK) if value is None
-                       else Frame(OK, FOUND, body=value))
-        elif op == PUT:
+            return [Frame(OK) if value is None
+                    else Frame(OK, FOUND, body=value)]
+        if op == PUT:
             stored, n, skipped = store.put(
                 key, body, if_absent=bool(frame.flags & IF_ABSENT))
             if not stored:
-                send_frame(sock, Frame(OVERFLOW, key=max(n, 0)))
-            else:
-                send_frame(sock, Frame(OK, SKIPPED if skipped else 0, n=n))
-        elif op == DELETE:
+                return [Frame(OVERFLOW, key=max(n, 0))]
+            return [Frame(OK, SKIPPED if skipped else 0, n=n)]
+        if op == DELETE:
             freed = store.delete(key)
-            send_frame(sock, Frame(OK, FOUND if freed else 0, n=freed))
-        elif op == MULTI_GET:
-            self._send_records([], list(zip(batch, store.multi_get(batch))))
-        elif op == MULTI_PUT:
+            return [Frame(OK, FOUND if freed else 0, n=freed)]
+        if op == MULTI_GET:
+            return _record_frames([], list(zip(batch, store.multi_get(batch))))
+        if op == MULTI_PUT:
             stored, freed_by_key, skipped, error = store.multi_put(
-                batch, expired=lambda: self._expired(expires_at),
+                batch, expires_at=expires_at,
                 if_absent=bool(frame.flags & IF_ABSENT))
             # Every key applied (or skipped) is listed, so a batch that
             # stopped part-way tells the client which suffix to retry.
@@ -488,66 +448,95 @@ class _Handler(socketserver.BaseRequestHandler):
             freed = [freed_by_key.get(k, 0) for k in stored]
             code = (OK if error is None
                     else OVERFLOW if error == "overflow" else DEADLINE)
-            send_frame(sock, Frame(code, n=len(keys), body=pack_pairs(
-                keys, freed + [NONE32] * len(skipped))))
-        elif op == SWEEP or op == EXTRACT_PREPARE:
+            return [Frame(code, n=len(keys), body=pack_pairs(
+                keys, freed + [NONE32] * len(skipped)))]
+        if op == SWEEP or op == EXTRACT_PREPARE:
             if len(body) != RANGE.size:
                 raise ValueError(f"{len(body)} B range body, "
                                  f"want {RANGE.size} B")
             hi, lease_ms = RANGE.unpack(body)
-            # Snapshot under the store lock, stream after release — a
-            # slow reader must not stall the node.
+            # Snapshot under the store lock; the transport writes the
+            # records after its release — a slow reader must not stall
+            # the node.
             records = store.snapshot_range(key, hi)
             token = b""
             if op == EXTRACT_PREPARE:
                 token = store.transfers.prepare(
                     key, hi, records,
                     lease_s=lease_ms / 1000.0 if lease_ms else None).encode()
-            self._send_records([Frame(OK, n=len(records), body=token)],
-                               records)
-        elif op == EXTRACT_COMMIT or op == EXTRACT_ABORT:
+            return _record_frames([Frame(OK, n=len(records), body=token)],
+                                  records)
+        if op == EXTRACT_COMMIT or op == EXTRACT_ABORT:
             if not body:
                 raise ValueError("missing transfer token")
             token = body.decode("utf-8", "replace")
             if op == EXTRACT_ABORT:
                 released = store.transfers.abort(token)
-                send_frame(sock, Frame(OK, FOUND if released else 0))
-                return
+                return [Frame(OK, FOUND if released else 0)]
             transfer = store.transfers.commit(token)
-            removed = 0
-            if transfer is not None:
-                removed = store.delete_keys(transfer.keys)
-            send_frame(sock, Frame(OK, FOUND if transfer else 0, n=removed))
-        elif op == STATS:
-            gate: AdmissionGate = self.server.gate  # type: ignore[attr-defined]
-            reply = {
-                "capacity_bytes": store.records.capacity_bytes,
-                "transfers_pending": store.transfers.pending,
-                "transfers_committed": store.transfers.committed,
-                "transfers_expired": store.transfers.expired,
-            }
-            reply.update(store.counters_snapshot())
-            reply.update(gate.snapshot())
-            replica: _Store = self.server.replica_store  # type: ignore[attr-defined]
-            counters = replica.counters_snapshot()
-            reply["replica"] = {
-                "capacity_bytes": replica.records.capacity_bytes,
-                "records": counters["records"],
-                "used_bytes": counters["used_bytes"],
-                "hits": counters["hits"],
-                "misses": counters["misses"],
-            }
-            send_frame(sock, Frame(OK, body=json.dumps(reply).encode()))
-        else:  # PING
-            send_frame(sock, Frame(OK))
+            removed = store.delete_keys(transfer.keys) if transfer else 0
+            return [Frame(OK, FOUND if transfer else 0, n=removed)]
+        if op == STATS:
+            reply = store.counters_snapshot() | self.gate.snapshot()
+            replica = self.replica_store.counters_snapshot()
+            reply["replica"] = {name: replica[name] for name in (
+                "capacity_bytes", "records", "used_bytes", "hits", "misses")}
+            return [Frame(OK, body=json.dumps(reply).encode())]
+        return [Frame(OK)]  # PING
+
+
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: read a request, let the node answer it, write
+    the replies — until the peer disconnects."""
+
+    server: _TCPServer
+
+    def setup(self) -> None:  # noqa: D102 - socketserver hook
+        self.server.connections.add(self.request)
+        enable_nodelay(self.request)
+        # Buffered reads: all frames for this session come through one
+        # reader, so back-to-back requests cost one recv between them.
+        self.reader = FrameReader(self.request)
+        # A stalled or half-open peer surfaces as a timeout inside
+        # recv_frame (→ ProtocolError → session end) instead of pinning
+        # this thread forever.
+        if self.server.idle_timeout_s is not None:
+            self.request.settimeout(self.server.idle_timeout_s)
+
+    def finish(self) -> None:  # noqa: D102 - socketserver hook
+        self.server.connections.discard(self.request)
+
+    def handle(self) -> None:  # noqa: D102 - socketserver hook
+        sock = self.request
+        recv = self.reader.recv_frame
+        step = self.server.node.handle
+        while True:
+            try:
+                replies = step(recv(), time.monotonic())
+            except FrameError as exc:
+                # A v2 header or batch we refuse: say why, then end the
+                # session — the rest of the stream cannot be trusted.
+                send_frame(sock, error_frame(str(exc)))
+                return
+            except ProtocolError:
+                return  # disconnect, garbage, or idle timeout ends the session
+            except Exception as exc:  # report, keep serving
+                replies = [error_frame(str(exc))]
+            if len(replies) == 1:
+                send_frame(sock, replies[0])
+            else:  # one coalesced write for a typical batch
+                send_frames(sock, replies)
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, address: tuple[str, int], node: _Node,
+                 idle_timeout_s: float | None) -> None:
+        super().__init__(address, _Handler)
+        self.node = node
+        self.idle_timeout_s = idle_timeout_s
         #: live client sockets, force-closed on shutdown so a stopped
         #: server actually severs its sessions (clients then reconnect).
         self.connections: set = set()
@@ -555,8 +544,6 @@ class _TCPServer(socketserver.ThreadingTCPServer):
     def handle_error(self, request, client_address) -> None:
         """Quietly drop connection-level errors (resets, severed
         sessions at shutdown); anything else keeps the default dump."""
-        import sys
-
         exc = sys.exc_info()[1]
         if isinstance(exc, (ConnectionError, OSError)):
             return
@@ -582,7 +569,9 @@ class LiveCacheServer:
     op_delay_s:
         Synthetic per-op service time (slept while *holding* a worker
         slot, outside the store lock).  Zero in production; the overload
-        benchmark uses it to make saturation reproducible.
+        benchmark uses it to make saturation reproducible.  The node's
+        request step, ``server.node``, holds it and may change it while
+        serving.
     replica_headroom:
         Sizes the replica namespace as a fraction of ``capacity_bytes``.
         Buddy copies are accounted there, never against primary
@@ -604,18 +593,12 @@ class LiveCacheServer:
                  lease_s: float = 30.0,
                  op_delay_s: float = 0.0,
                  replica_headroom: float = 1.0) -> None:
-        self.store = _Store(capacity_bytes, order, lease_s=lease_s)
-        self.replica_store = _Store(
-            max(1, int(capacity_bytes * replica_headroom)), order,
-            lease_s=lease_s)
-        self.gate = AdmissionGate(max_workers=max_workers,
-                                  max_queue=max_queue)
-        self._server = _TCPServer((host, port), _Handler)
-        self._server.store = self.store  # type: ignore[attr-defined]
-        self._server.replica_store = self.replica_store  # type: ignore[attr-defined]
-        self._server.gate = self.gate  # type: ignore[attr-defined]
-        self._server.idle_timeout_s = idle_timeout_s  # type: ignore[attr-defined]
-        self._server.op_delay_s = op_delay_s  # type: ignore[attr-defined]
+        self.node = _Node(capacity_bytes, order, max_workers, max_queue,
+                          lease_s, op_delay_s, replica_headroom)
+        self.store = self.node.store
+        self.replica_store = self.node.replica_store
+        self.gate = self.node.gate
+        self._server = _TCPServer((host, port), self.node, idle_timeout_s)
         self._thread: threading.Thread | None = None
 
     @property
@@ -633,6 +616,15 @@ class LiveCacheServer:
         self._thread.start()
         return self
 
+    def sever(self) -> None:
+        """Cut every live session (its client must reconnect); the
+        listener keeps accepting."""
+        for conn in list(self._server.connections):
+            try:
+                conn.shutdown(2)  # SHUT_RDWR: unblocks handler recv()
+            except OSError:
+                pass
+
     def stop(self) -> None:
         """Shut down, sever live sessions, and join the serving thread."""
         if self._thread is not None:
@@ -644,11 +636,7 @@ class LiveCacheServer:
             except OSError:
                 pass  # no wake-up on this platform: the poll ends it
             self._server.shutdown()
-        for conn in list(self._server.connections):
-            try:
-                conn.shutdown(2)  # SHUT_RDWR: unblocks handler recv()
-            except OSError:
-                pass
+        self.sever()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

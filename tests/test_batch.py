@@ -204,8 +204,7 @@ class TestSuffixRetry:
             # Sever the session server-side; the client's socket is now
             # stale, so the next batch hits a transport error mid-flight
             # and must resume from the unacknowledged suffix.
-            for conn in list(server._server.connections):
-                conn.shutdown(2)
+            server.sever()
             items = [(k, f"n{k}".encode()) for k in range(50)]
             result = c.multi_put(items)
             assert result.ok
@@ -216,8 +215,7 @@ class TestSuffixRetry:
     def test_multi_get_retries_after_kill(self, server):
         with LiveCacheClient(server.address, max_batch=8) as c:
             c.multi_put([(k, b"r") for k in range(40)])
-            for conn in list(server._server.connections):
-                conn.shutdown(2)
+            server.sever()
             got = c.multi_get(list(range(40)))
             assert len(got) == 40
             assert c.retries >= 1

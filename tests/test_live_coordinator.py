@@ -1,8 +1,11 @@
 """Tests for the live coordinator: elasticity and eviction over TCP."""
 
+import time
+
 import pytest
 
 from repro.core.config import EvictionConfig
+from repro.faults import FailureDetector, RetryPolicy
 from repro.live.client import LiveClusterClient
 from repro.live.coordinator import LiveCoordinator
 from repro.live.protocol import (DeadlineError, OverloadedError,
@@ -176,6 +179,42 @@ class TestFillFailures:
             cluster.close()
             for s in servers:
                 s.stop()
+
+
+class TestRecovery:
+    def test_downtime_spans_failover_to_recovery(self):
+        """``downtime_s`` is the detector's own down interval: positive
+        once a failed-over shard is re-admitted, and never longer than
+        the wall time from its death to its recovery."""
+        def boot(port: int = 0) -> LiveCacheServer:
+            return LiveCacheServer(port=port, capacity_bytes=1 << 20).start()
+
+        servers = [boot(), boot()]
+        victim = servers[1].address
+        cluster = LiveClusterClient(
+            [s.address for s in servers], ring_range=1 << 12, timeout=1.0,
+            retry=RetryPolicy(max_attempts=2, deadline_s=1.0,
+                              base_delay_s=0.01, max_delay_s=0.05))
+        coord = LiveCoordinator(cluster, compute,
+                                detector=FailureDetector(threshold=2))
+        try:
+            died = time.monotonic()
+            servers[1].stop()
+            for k in range(0, 1 << 12, 16):
+                assert coord.query(k) == compute(k)
+                if coord.stats.failovers:
+                    break
+            assert coord.stats.failovers == 1
+            assert coord.stats.downtime_s == 0.0
+            servers[1] = boot(victim[1])
+            assert coord.check_recovery() == [victim]
+            elapsed = time.monotonic() - died
+        finally:
+            cluster.close()
+            for s in servers:
+                s.stop()
+        assert coord.stats.recoveries == 1
+        assert 0.0 < coord.stats.downtime_s <= elapsed
 
 
 class TestEndToEndShoreline:
